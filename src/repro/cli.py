@@ -147,14 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("deepcat", "cdbtune"))
     p_train.add_argument("--iterations", type=int, default=1500)
     p_train.add_argument("--model", required=True,
-                         help="output .npz path")
+                         help="output model path (.npz appended if missing)")
 
     p_tune = sub.add_parser("tune", help="serve an online tuning request")
     common(p_tune)
     telemetry_flags(p_tune)
     run_flags(p_tune)
     p_tune.add_argument("--model", default=None,
-                        help="trained .npz path (required unless --resume)")
+                        help="trained model path, as given to train "
+                        "(required unless --resume)")
     p_tune.add_argument("--steps", type=int, default=5)
     p_tune.add_argument("--time-budget", type=float, default=None,
                         help="total tuning cost constraint in seconds")
@@ -616,14 +617,14 @@ def _cmd_train(args) -> int:
         try:
             log = tuner.train_offline(env, args.iterations, telemetry=ctx)
         except KeyboardInterrupt:
-            save_tuner(tuner, args.model)
-            print(f"\ninterrupted: saved partially-trained {args.model}")
+            saved = save_tuner(tuner, args.model)
+            print(f"\ninterrupted: saved partially-trained {saved}")
             _finish_interrupted(ctx, "offline-train")
             _finalize_heartbeat(args, "interrupted")
             return _INTERRUPTED_RC
-    save_tuner(tuner, args.model)
+    saved = save_tuner(tuner, args.model)
     print(
-        f"saved {args.model}; best configuration seen offline "
+        f"saved {saved}; best configuration seen offline "
         f"{log.best_duration_s:.1f}s (default {env.default_duration:.1f}s)"
     )
     _finish_telemetry(ctx)

@@ -1,28 +1,42 @@
 """Save/load trained tuner models and crash-recoverable tuning sessions.
 
 The offline stage is trained once and reused for every tuning request
-(Figure 1), so models must outlive the training process.  Network
-parameters are stored in a single ``.npz`` archive together with the
-metadata needed to rebuild the agent (dimensions, hyper-parameters,
-DeepCAT thresholds).  Replay buffers are deliberately *not* persisted
-in *model* archives: a fresh request starts fine-tuning from the
-offline weights, and the paper's online stage only pushes new
-transitions.
+(Figure 1), so models must outlive the training process, and every
+``repro tune --model`` pays :func:`load_tuner` once.  A model archive is
+one ``.npz`` file (the suffix is appended when missing, on save and on
+load alike).  Format 2 holds two uncompressed members:
+
+* ``__meta__`` — UTF-8 JSON with what rebuilds the agent (dimensions,
+  hyper-parameters, DeepCAT thresholds), ``format_version`` and
+  ``layout``: ``[key, shape]`` per parameter tensor (``"actor/0"``, ...)
+  in network order;
+* ``params`` — every parameter concatenated into one float64 vector.
+
+Loading reads the vector once and copies per-tensor views of it into
+the freshly built networks.  Version-1 archives (one zlib-compressed
+member per tensor, keyed like ``layout``) are still read.  Replay
+buffers are deliberately *not* persisted in *model* archives: a fresh
+request starts fine-tuning from the offline weights, and the paper's
+online stage only pushes new transitions.
 
 Session *checkpoints* are the opposite: they freeze an in-flight online
 tuning session completely — agent weights, RDPER P_high/P_low pools,
 every RNG state, the environment (cluster tracker + simulator + fault
 injector), the resilience policy's streak state, and the step counter —
 so a killed session resumed with ``repro tune --resume`` replays
-bit-identically to one that was never interrupted.  Snapshots are
-written atomically (tmp file + ``os.replace``), so a kill mid-write
-never corrupts the previous checkpoint.
+bit-identically to one that was never interrupted.
+
+Models and snapshots alike are written atomically (tmp file in the same
+directory + ``os.replace``), so a kill mid-write never corrupts the
+previous file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
+import math
 import os
 import pickle
 from dataclasses import asdict, dataclass
@@ -48,7 +62,9 @@ __all__ = [
     "PopulationCheckpointManager",
 ]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+#: per-tensor compressed members; read-only since format 2
+_LEGACY_FORMAT_VERSION = 1
 _CHECKPOINT_VERSION = 1
 _POPULATION_CHECKPOINT_VERSION = 1
 
@@ -107,38 +123,84 @@ def _meta_for(tuner) -> dict:
     raise TypeError(f"cannot persist {type(tuner).__name__}")
 
 
-def save_tuner(tuner, path: str | Path) -> Path:
-    """Serialize a trained DeepCAT or CDBTune model to ``path`` (.npz)."""
+def _write_atomic(path: Path, write) -> None:
+    """Call ``write(fh)`` on a temp file beside ``path``, then rename it
+    over ``path``: the file at ``path`` is always complete, and a failed
+    write leaves the previous one (and no temp file) behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _model_path(path: str | Path) -> Path:
+    """The file a model archive named ``path`` lives in: ``path`` itself
+    when it ends in ``.npz``, else ``path`` with ``.npz`` appended."""
     path = Path(path)
+    return path if path.suffix == ".npz" else path.with_name(
+        path.name + ".npz"
+    )
+
+
+def save_tuner(tuner, path: str | Path) -> Path:
+    """Serialize a trained DeepCAT or CDBTune model; returns the file
+    written (``path``, with ``.npz`` appended if missing)."""
+    path = _model_path(path)
     meta = _meta_for(tuner)  # validates the tuner type first
-    if isinstance(tuner, DeepCAT):
-        arrays = _collect_arrays(tuner.agent, _TD3_NETS)
-    else:
-        arrays = _collect_arrays(tuner.agent, _DDPG_NETS)
+    nets = _TD3_NETS if isinstance(tuner, DeepCAT) else _DDPG_NETS
+    arrays = _collect_arrays(tuner.agent, nets)
     meta["format_version"] = _FORMAT_VERSION
-    np.savez_compressed(
-        path, __meta__=np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        ), **arrays,
+    meta["layout"] = [[key, list(a.shape)] for key, a in arrays.items()]
+    params = np.concatenate(
+        [a.ravel() for a in arrays.values()], dtype=np.float64
     )
-    # numpy appends .npz when missing
-    return path if path.suffix == ".npz" else path.with_suffix(
-        path.suffix + ".npz"
+    meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                               dtype=np.uint8)
+    _write_atomic(
+        path, lambda fh: np.savez(fh, __meta__=meta_bytes, params=params)
     )
+    return path
+
+
+def _unpack_params(meta: dict, archive) -> dict[str, np.ndarray]:
+    """Per-tensor views into a format-2 archive's ``params`` vector."""
+    if "params" not in archive.files:
+        raise ValueError("archive missing params vector")
+    flat = archive["params"]
+    layout = [(key, tuple(shape)) for key, shape in meta["layout"]]
+    sizes = [math.prod(shape) for _, shape in layout]
+    if flat.ndim != 1 or sum(sizes) != flat.size:
+        raise ValueError(
+            f"layout describes {sum(sizes)} parameters, "
+            f"params vector holds {flat.size}"
+        )
+    offsets = itertools.accumulate(sizes, initial=0)
+    return {
+        key: flat[off:off + n].reshape(shape)
+        for (key, shape), off, n in zip(layout, offsets, sizes)
+    }
 
 
 def load_tuner(path: str | Path, seed: int = 0):
-    """Rebuild a tuner from :func:`save_tuner` output.
+    """Rebuild a tuner from :func:`save_tuner` output (format 2, or a
+    version-1 archive).  ``path`` resolves like :func:`save_tuner`'s.
 
     ``seed`` re-seeds the *runtime* randomness (exploration noise, replay
     sampling); the learned weights are restored exactly.
     """
-    with np.load(Path(path)) as archive:
+    with np.load(_model_path(path)) as archive:
         meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
-        if meta.get("format_version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported archive version {meta.get('format_version')}"
-            )
+        version = meta.get("format_version")
+        if version == _FORMAT_VERSION:
+            arrays = _unpack_params(meta, archive)
+        elif version == _LEGACY_FORMAT_VERSION:
+            arrays = archive
+        else:
+            raise ValueError(f"unsupported archive version {version}")
         hp_dict = dict(meta["hp"])
         hp_dict["hidden"] = tuple(hp_dict["hidden"])
         hp = AgentHyperParams(**hp_dict)
@@ -155,12 +217,12 @@ def load_tuner(path: str | Path, seed: int = 0):
                 use_rdper=meta["use_rdper"],
                 use_twin_q=meta["use_twin_q"],
             )
-            _restore_arrays(tuner.agent, _TD3_NETS, archive)
+            _restore_arrays(tuner.agent, _TD3_NETS, arrays)
         elif meta["kind"] == "cdbtune":
             tuner = CDBTune(
                 meta["state_dim"], meta["action_dim"], seed=seed, hp=hp
             )
-            _restore_arrays(tuner.agent, _DDPG_NETS, archive)
+            _restore_arrays(tuner.agent, _DDPG_NETS, arrays)
         else:
             raise ValueError(f"unknown tuner kind {meta['kind']!r}")
     return tuner
@@ -250,11 +312,9 @@ def save_checkpoint(
         "next_step": int(next_step),
         "resilience": resilience,
     }
-    tmp = path.with_name(path.name + ".tmp")
     with _telemetry_detached(tuner, env):
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
+        _write_atomic(path, lambda fh: pickle.dump(
+            payload, fh, protocol=pickle.HIGHEST_PROTOCOL))
     return path
 
 
@@ -343,13 +403,11 @@ def save_population_checkpoint(
             )
         ],
     }
-    tmp = path.with_name(path.name + ".tmp")
     with contextlib.ExitStack() as stack:
         for tuner, env in zip(tuners, envs):
             stack.enter_context(_telemetry_detached(tuner, env))
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
+        _write_atomic(path, lambda fh: pickle.dump(
+            payload, fh, protocol=pickle.HIGHEST_PROTOCOL))
     return path
 
 
