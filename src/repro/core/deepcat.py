@@ -153,17 +153,10 @@ class DeepCAT:
         :meth:`~repro.core.online.OnlineTuner.tune` and
         :class:`~repro.core.persistence.CheckpointManager`.
         """
-        self._record_provenance(telemetry, env)
-        tuner = OnlineTuner(
-            self.agent,
-            self.buffer,
-            name="DeepCAT" if self.use_twin_q else "DeepCAT-noTwinQ",
-            use_twin_q=self.use_twin_q,
-            q_threshold=self.q_threshold,
-            twinq_noise_sigma=self.twinq_noise_sigma,
+        tuner = self.online_tuner(
+            env,
             fine_tune_updates=fine_tune_updates,
             exploration_sigma=exploration_sigma,
-            rng=self._online_rng,
             telemetry=telemetry,
         )
         return tuner.tune(
@@ -174,6 +167,34 @@ class DeepCAT:
             start_step=start_step,
             resilience=resilience,
             checkpoint=checkpoint,
+        )
+
+    def online_tuner(
+        self,
+        env: TuningEnv,
+        *,
+        fine_tune_updates: int = 2,
+        exploration_sigma: float = 0.3,
+        telemetry=None,
+    ) -> OnlineTuner:
+        """The :class:`OnlineTuner` serving one request on ``env``.
+
+        Shares this tuner's agent, buffer and online RNG stream, so a
+        session is the same whether :meth:`tune_online` or a
+        :class:`~repro.core.population.PopulationTuner` runs it.
+        """
+        self._record_provenance(telemetry, env)
+        return OnlineTuner(
+            self.agent,
+            self.buffer,
+            name="DeepCAT" if self.use_twin_q else "DeepCAT-noTwinQ",
+            use_twin_q=self.use_twin_q,
+            q_threshold=self.q_threshold,
+            twinq_noise_sigma=self.twinq_noise_sigma,
+            fine_tune_updates=fine_tune_updates,
+            exploration_sigma=exploration_sigma,
+            rng=self._online_rng,
+            telemetry=telemetry,
         )
 
     def _record_provenance(self, telemetry, env: TuningEnv) -> None:

@@ -7,6 +7,14 @@ Optimizer (baselines skip this); the — possibly optimized — configuration
 is evaluated on the target cluster; the transition feeds fine-tuning
 updates.  The session ends at the step constraint or when the time budget
 is exhausted, and the best configuration ever found is reported.
+
+The step is split into methods — ``_open`` (session + start state),
+``_plan`` (guard fallback or exploration sigma), ``_recommend``,
+``_evaluate`` (retries, watchdog), ``_absorb`` (fine-tune, record,
+ledger, counters, events, budget verdict) — so that
+:class:`~repro.core.population.PopulationTuner` runs the same code per
+member and batches only the actor pass, the Twin-Q scoring, and the
+first simulator pass.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ from repro.core.resilience import (
 )
 from repro.core.result import OnlineSession, TuningStepRecord
 from repro.core.twinq import screening_saving, twin_q_optimize
-from repro.envs.tuning_env import TuningEnv
+from repro.envs.tuning_env import StepOutcome, TuningEnv
 from repro.replay.base import Transition
 from repro.replay.per import PrioritizedReplayBuffer
 
-__all__ = ["OnlineTuner"]
+__all__ = ["OnlineTuner", "record_online_stage"]
 
 
 class OnlineTuner:
@@ -76,12 +84,63 @@ class OnlineTuner:
         t.event("intervention", intervention=kind, tuner=self.name,
                 step=step)
 
+    def _open(
+        self,
+        env: TuningEnv,
+        resilience: ResiliencePolicy | None,
+        session: OnlineSession | None,
+    ) -> tuple[OnlineSession, np.ndarray]:
+        """Attach telemetry to the session's collaborators, create the
+        session if needed, and return it with the start state."""
+        t = self.telemetry
+        if hasattr(env, "attach_telemetry"):
+            env.attach_telemetry(t)
+        if self.buffer is not None and hasattr(self.buffer, "set_telemetry"):
+            self.buffer.set_telemetry(t)
+        if hasattr(self.agent, "telemetry"):
+            self.agent.telemetry = t
+        if session is None:
+            session = OnlineSession(
+                tuner=self.name,
+                workload=env.runner.workload.code,
+                dataset=env.runner.dataset.label,
+                default_duration_s=env.default_duration,
+            )
+        # Resume from what the metric collector last reported (identical
+        # to the clean state on a fresh env), so a restored session sees
+        # exactly the observation the killed one would have acted on.
+        state = env.observation if hasattr(env, "observation") else env.state
+        if resilience is not None:
+            state, _ = sanitize_state(state)
+        return session, state
+
+    def _plan(
+        self, resilience: ResiliencePolicy | None, step: int
+    ) -> tuple[np.ndarray | None, float | None]:
+        """Decide how this step recommends.
+
+        Returns ``(fallback action, None)`` when the safety guard sees a
+        bad streak — stop exploring, revert to the best-known-good
+        configuration — and otherwise ``(None, exploration sigma)``.
+        """
+        guard = resilience.guard if resilience is not None else None
+        if guard is not None and guard.should_fallback:
+            action = guard.trigger_fallback()
+            self.telemetry.count(
+                "resilience.fallbacks_total",
+                help="safety-guard fallbacks to best-known-good configuration",
+                tuner=self.name,
+            )
+            self._note_intervention("fallback", step)
+            return action, None
+        if guard is not None:
+            return None, guard.effective_sigma(self.exploration_sigma)
+        return None, self.exploration_sigma
+
     def _recommend(
-        self, state: np.ndarray, sigma: float | None = None
+        self, state: np.ndarray, sigma: float
     ) -> tuple[np.ndarray, dict]:
         """Produce the action for this step; returns (action, twinq diag)."""
-        if sigma is None:
-            sigma = self.exploration_sigma
         action = self.agent.act(state, explore=False)
         if sigma > 0:
             action = np.clip(
@@ -89,34 +148,32 @@ class OnlineTuner:
                 0.0,
                 1.0,
             )
-        diag: dict = {}
-        if self.use_twin_q:
-            outcome = twin_q_optimize(
-                self.agent,
-                state,
-                action,
-                q_threshold=self.q_threshold,
-                noise_sigma=self.twinq_noise_sigma,
-                rng=self._rng,
-                telemetry=self.telemetry,
-            )
-            action = outcome.action
-            diag = {
-                "twinq_iterations": outcome.iterations,
-                "twinq_accepted": outcome.accepted,
-                "original_q": outcome.original_q,
-                "final_q": outcome.q_value,
-            }
-        return action, diag
+        if not self.use_twin_q:
+            return action, {}
+        outcome = twin_q_optimize(
+            self.agent,
+            state,
+            action,
+            q_threshold=self.q_threshold,
+            noise_sigma=self.twinq_noise_sigma,
+            rng=self._rng,
+            telemetry=self.telemetry,
+        )
+        return outcome.action, outcome.diag()
 
-    def _evaluate_resilient(
+    def _evaluate(
         self,
         env: TuningEnv,
         action: np.ndarray,
-        resilience: ResiliencePolicy,
-        step: int | None = None,
-    ):
-        """Evaluate ``action`` under the resilience policy.
+        resilience: ResiliencePolicy | None,
+        step: int,
+        first: StepOutcome | None = None,
+        member: int | None = None,
+    ) -> tuple[StepOutcome, int, float]:
+        """Evaluate ``action``, under the resilience policy if one is set.
+
+        ``first`` is an already-computed first attempt (a population's
+        shared simulator pass); retries always call ``env.step``.
 
         Failed (or watchdog-aborted) evaluations are retried up to the
         policy's ``max_attempts``; every burnt attempt and its backoff
@@ -126,6 +183,8 @@ class OnlineTuner:
         where the extra cost is the burnt seconds *preceding* the final
         attempt.
         """
+        if resilience is None:
+            return (first if first is not None else env.step(action)), 1, 0.0
         t = self.telemetry
         watchdog = resilience.watchdog
         schedule = (
@@ -134,7 +193,10 @@ class OnlineTuner:
         max_attempts = resilience.max_attempts
         extra_cost = 0.0
         for attempt in range(max_attempts):
-            outcome = env.step(action)
+            if attempt > 0 or first is None:
+                outcome = env.step(action)
+            else:
+                outcome = first
             if watchdog is not None:
                 verdict = watchdog.inspect(
                     outcome.duration_s, env.default_duration
@@ -171,6 +233,7 @@ class OnlineTuner:
                     "retry",
                     burnt,
                     step=step,
+                    member=member,
                     attempt=attempt + 1,
                     faults=list(outcome.faults),
                 )
@@ -276,27 +339,27 @@ class OnlineTuner:
             raise ValueError(
                 "start_step must equal len(session.steps) when resuming"
             )
+        session = self._run_steps(
+            env, steps, time_budget_s, session, start_step, resilience,
+            checkpoint,
+        )
+        record_online_stage(self.telemetry, self.name, session)
+        return session
+
+    def _run_steps(
+        self,
+        env: TuningEnv,
+        steps: int,
+        time_budget_s: float | None,
+        session: OnlineSession | None,
+        start_step: int,
+        resilience: ResiliencePolicy | None,
+        checkpoint=None,
+    ) -> OnlineSession:
+        """The body of :meth:`tune` without the manifest stage, which a
+        population records once per member itself."""
         t = self.telemetry
-        if hasattr(env, "attach_telemetry"):
-            env.attach_telemetry(t)
-        if self.buffer is not None and hasattr(self.buffer, "set_telemetry"):
-            self.buffer.set_telemetry(t)
-        if hasattr(self.agent, "telemetry"):
-            self.agent.telemetry = t
-        if session is None:
-            session = OnlineSession(
-                tuner=self.name,
-                workload=env.runner.workload.code,
-                dataset=env.runner.dataset.label,
-                default_duration_s=env.default_duration,
-            )
-        guard = resilience.guard if resilience is not None else None
-        # Resume from what the metric collector last reported (identical
-        # to the clean state on a fresh env), so a restored session sees
-        # exactly the observation the killed one would have acted on.
-        state = env.observation if hasattr(env, "observation") else env.state
-        if resilience is not None:
-            state, _ = sanitize_state(state)
+        session, state = self._open(env, resilience, session)
         try:
             with t.phase("online.tune"), t.span(
                 "online.tune", tuner=self.name, workload=session.workload,
@@ -306,177 +369,26 @@ class OnlineTuner:
                     with t.phase("online.step"), t.span(
                         "online.step", step=step
                     ):
-                        fallback = False
-                        sigma: float | None = None
                         t0 = time.perf_counter()
-                        if guard is not None and guard.should_fallback:
-                            # A bad streak: stop exploring, revert to the
-                            # best-known-good configuration.
-                            action = guard.trigger_fallback()
-                            diag: dict = {}
-                            fallback = True
-                            t.count(
-                                "resilience.fallbacks_total",
-                                help="safety-guard fallbacks to "
-                                "best-known-good configuration",
-                                tuner=self.name,
-                            )
-                            self._note_intervention("fallback", step)
-                        else:
-                            sigma = (
-                                guard.effective_sigma(self.exploration_sigma)
-                                if guard is not None
-                                else self.exploration_sigma
-                            )
+                        action, sigma = self._plan(resilience, step)
+                        diag: dict = {}
+                        if action is None:
                             with t.span("online.recommend"):
-                                action, diag = self._recommend(
-                                    state, sigma=sigma
-                                )
+                                action, diag = self._recommend(state, sigma)
                         recommendation_s = time.perf_counter() - t0
-
                         with t.span("online.evaluate"):
-                            if resilience is not None:
-                                outcome, attempts, extra_cost = (
-                                    self._evaluate_resilient(
-                                        env, action, resilience, step
-                                    )
-                                )
-                            else:
-                                outcome = env.step(action)
-                                attempts, extra_cost = 1, 0.0
-                        next_state = outcome.next_state
-                        if resilience is not None:
-                            next_state, n_repaired = sanitize_state(next_state)
-                            if n_repaired:
-                                t.count(
-                                    "resilience.state_repairs_total",
-                                    n_repaired,
-                                    help="NaN observation entries repaired",
-                                    tuner=self.name,
-                                )
-                                self._note_intervention("state-repair", step)
-                        state = next_state
-                        if guard is not None:
-                            guard.record(
-                                outcome.success, outcome.reward, outcome.action
+                            evaluated = self._evaluate(
+                                env, action, resilience, step
                             )
-
-                        if self.buffer is not None:
-                            self.buffer.push(
-                                Transition(
-                                    state=outcome.state,
-                                    action=outcome.action,
-                                    reward=outcome.reward,
-                                    next_state=next_state,
-                                )
-                            )
-                            if self.buffer.can_sample(self.agent.hp.batch_size):
-                                with t.span("online.finetune"):
-                                    for _ in range(self.fine_tune_updates):
-                                        batch = self.buffer.sample(
-                                            self.agent.hp.batch_size
-                                        )
-                                        d = self.agent.update(batch)
-                                        if isinstance(
-                                            self.buffer, PrioritizedReplayBuffer
-                                        ):
-                                            self.buffer.update_priorities(
-                                                batch.indices, d["td_errors"]
-                                            )
-
-                        step_cost_s = float(outcome.duration_s + extra_cost)
-                        session.add(
-                            TuningStepRecord(
-                                step=step,
-                                duration_s=step_cost_s,
-                                recommendation_s=recommendation_s,
-                                reward=outcome.reward,
-                                success=outcome.success,
-                                config=outcome.config,
-                                action=outcome.action,
-                                twinq_iterations=diag.get("twinq_iterations"),
-                                twinq_accepted=diag.get("twinq_accepted"),
-                                original_q=diag.get("original_q"),
-                                final_q=diag.get("final_q"),
-                                attempts=attempts,
-                                aborted="watchdog-abort" in outcome.faults,
-                                fallback=fallback,
-                                faults=outcome.faults,
-                            )
-                        )
-                        if t.ledger.enabled:
-                            self._charge_step(
-                                env, step, outcome, diag, fallback,
-                                recommendation_s, attempts,
-                            )
-                        # The paper's cost split: recommendation time is the
-                        # tuner's own overhead, evaluation time is what the
-                        # Twin-Q Optimizer exists to reduce (Figure 7).
-                        t.count(
-                            "online.steps_total",
-                            help="online tuning steps served",
-                            tuner=self.name,
-                        )
-                        t.count(
-                            "online.recommendation_seconds_total",
-                            recommendation_s,
-                            help="cumulative recommendation time",
-                            tuner=self.name,
-                        )
-                        t.count(
-                            "online.evaluation_seconds_total",
-                            step_cost_s,
-                            help="cumulative configuration evaluation time",
-                            tuner=self.name,
-                        )
-                        t.observe(
-                            "online.step_reward",
-                            float(outcome.reward),
-                            help="per-step reward",
-                            tuner=self.name,
-                        )
-                        # Learning-health detectors: pure observers.  The
-                        # extra critic forward pass for q_pred consumes no
-                        # RNG and is skipped entirely when diagnostics are
-                        # off, so science stays bit-identical either way.
-                        if t.diagnostics.enabled:
-                            q_pred = diag.get("final_q")
-                            if q_pred is None and hasattr(self.agent, "min_q"):
-                                q_pred = float(
-                                    self.agent.min_q(
-                                        outcome.state, outcome.action
-                                    )
-                                )
-                            t.diagnostics.observe_step(
-                                step=step,
-                                reward=float(outcome.reward),
-                                success=bool(outcome.success),
-                                q_pred=q_pred,
-                                sigma=sigma,
-                            )
-                            # Drain before the step event so the heartbeat
-                            # written on "online-step" reflects this step's
-                            # alerts.
-                            for alert in t.diagnostics.drain_alerts():
-                                t.event("alert", **alert.as_event_fields())
-                        t.event(
-                            "online-step",
-                            tuner=self.name,
-                            step=step,
-                            duration_s=step_cost_s,
-                            reward=float(outcome.reward),
-                            success=bool(outcome.success),
-                            recommendation_s=float(recommendation_s),
-                            attempts=attempts,
-                            fallback=fallback,
-                            faults=list(outcome.faults),
+                        state, over_budget = self._absorb(
+                            env, session, resilience, step, evaluated,
+                            diag=diag, sigma=sigma,
+                            recommendation_s=recommendation_s,
+                            time_budget_s=time_budget_s,
                         )
                         if checkpoint is not None:
                             checkpoint.on_step(session, step + 1)
-                        if (
-                            time_budget_s is not None
-                            and session.total_tuning_seconds >= time_budget_s
-                        ):
+                        if over_budget:
                             break
         except KeyboardInterrupt:
             # Killed mid-session: persist everything completed so far so
@@ -488,17 +400,166 @@ class OnlineTuner:
             if checkpoint is not None:
                 checkpoint.save_if_stale(session, len(session.steps))
             raise
-        successes = [s for s in session.steps if s.success]
-        if t.manifest is not None:
-            t.manifest.record_stage(
-                "online-tune",
-                tuner=self.name,
-                workload=session.workload,
-                dataset=session.dataset,
-                steps=len(session.steps),
-                best_duration_s=(
-                    session.best_duration_s if successes else None
-                ),
-                total_tuning_seconds=session.total_tuning_seconds,
-            )
         return session
+
+    def _absorb(
+        self,
+        env: TuningEnv,
+        session: OnlineSession,
+        resilience: ResiliencePolicy | None,
+        step: int,
+        evaluated: tuple[StepOutcome, int, float],
+        *,
+        diag: dict,
+        sigma: float | None,
+        recommendation_s: float,
+        time_budget_s: float | None,
+        member: int | None = None,
+    ) -> tuple[np.ndarray, bool]:
+        """Learn from and record one evaluated step.
+
+        ``evaluated`` is what :meth:`_evaluate` returned; ``sigma`` is
+        :meth:`_plan`'s (``None`` on a guard fallback).  Returns the next
+        state and whether the session's time budget is now spent.
+        """
+        t = self.telemetry
+        outcome, attempts, extra_cost = evaluated
+        fallback = sigma is None
+        next_state = outcome.next_state
+        if resilience is not None:
+            next_state, n_repaired = sanitize_state(next_state)
+            if n_repaired:
+                t.count(
+                    "resilience.state_repairs_total",
+                    n_repaired,
+                    help="NaN observation entries repaired",
+                    tuner=self.name,
+                )
+                self._note_intervention("state-repair", step)
+            if resilience.guard is not None:
+                resilience.guard.record(
+                    outcome.success, outcome.reward, outcome.action
+                )
+
+        if self.buffer is not None:
+            self.buffer.push(
+                Transition(
+                    state=outcome.state,
+                    action=outcome.action,
+                    reward=outcome.reward,
+                    next_state=next_state,
+                )
+            )
+            if self.buffer.can_sample(self.agent.hp.batch_size):
+                with t.span("online.finetune"):
+                    for _ in range(self.fine_tune_updates):
+                        batch = self.buffer.sample(self.agent.hp.batch_size)
+                        d = self.agent.update(batch)
+                        if isinstance(self.buffer, PrioritizedReplayBuffer):
+                            self.buffer.update_priorities(
+                                batch.indices, d["td_errors"]
+                            )
+
+        step_cost_s = float(outcome.duration_s + extra_cost)
+        session.add(
+            TuningStepRecord(
+                step=step,
+                duration_s=step_cost_s,
+                recommendation_s=recommendation_s,
+                reward=outcome.reward,
+                success=outcome.success,
+                config=outcome.config,
+                action=outcome.action,
+                twinq_iterations=diag.get("twinq_iterations"),
+                twinq_accepted=diag.get("twinq_accepted"),
+                original_q=diag.get("original_q"),
+                final_q=diag.get("final_q"),
+                attempts=attempts,
+                aborted="watchdog-abort" in outcome.faults,
+                fallback=fallback,
+                faults=outcome.faults,
+            )
+        )
+        if t.ledger.enabled:
+            self._charge_step(
+                env, step, outcome, diag, fallback, recommendation_s,
+                attempts, member=member,
+            )
+        # The paper's cost split: recommendation time is the tuner's own
+        # overhead, evaluation time is what the Twin-Q Optimizer exists
+        # to reduce (Figure 7).
+        t.count(
+            "online.steps_total",
+            help="online tuning steps served",
+            tuner=self.name,
+        )
+        t.count(
+            "online.recommendation_seconds_total",
+            recommendation_s,
+            help="cumulative recommendation time",
+            tuner=self.name,
+        )
+        t.count(
+            "online.evaluation_seconds_total",
+            step_cost_s,
+            help="cumulative configuration evaluation time",
+            tuner=self.name,
+        )
+        t.observe(
+            "online.step_reward",
+            float(outcome.reward),
+            help="per-step reward",
+            tuner=self.name,
+        )
+        # Learning-health detectors: pure observers.  The extra critic
+        # forward pass for q_pred consumes no RNG and is skipped entirely
+        # when diagnostics are off, so science stays bit-identical either
+        # way.
+        if t.diagnostics.enabled:
+            q_pred = diag.get("final_q")
+            if q_pred is None and hasattr(self.agent, "min_q"):
+                q_pred = float(self.agent.min_q(outcome.state, outcome.action))
+            t.diagnostics.observe_step(
+                step=step,
+                reward=float(outcome.reward),
+                success=bool(outcome.success),
+                q_pred=q_pred,
+                sigma=sigma,
+            )
+            # Drain before the step event so the heartbeat written on
+            # "online-step" reflects this step's alerts.
+            for alert in t.diagnostics.drain_alerts():
+                t.event("alert", **alert.as_event_fields())
+        t.event(
+            "online-step",
+            tuner=self.name,
+            step=step,
+            duration_s=step_cost_s,
+            reward=float(outcome.reward),
+            success=bool(outcome.success),
+            recommendation_s=float(recommendation_s),
+            attempts=attempts,
+            fallback=fallback,
+            faults=list(outcome.faults),
+        )
+        over_budget = (
+            time_budget_s is not None
+            and session.total_tuning_seconds >= time_budget_s
+        )
+        return next_state, over_budget
+
+
+def record_online_stage(telemetry, tuner: str, session: OnlineSession) -> None:
+    """Record one finished session as an ``online-tune`` manifest stage."""
+    if telemetry.manifest is None:
+        return
+    successes = [s for s in session.steps if s.success]
+    telemetry.manifest.record_stage(
+        "online-tune",
+        tuner=tuner,
+        workload=session.workload,
+        dataset=session.dataset,
+        steps=len(session.steps),
+        best_duration_s=session.best_duration_s if successes else None,
+        total_tuning_seconds=session.total_tuning_seconds,
+    )

@@ -14,7 +14,11 @@ every *deterministic* tensor computation across the population:
 Everything *stochastic* or session-local stays scalar and runs per
 member in member order: exploration noise, Twin-Q candidate draws,
 retries, safety-guard bookkeeping, replay pushes, fine-tune updates,
-record construction, and telemetry.  Because every member owns disjoint
+record construction, and telemetry.  That per-member work is not a
+copy: it is :class:`~repro.core.online.OnlineTuner`'s own step code
+(``_open``, ``_plan``, ``_evaluate``, ``_absorb``), called once per
+member with the batched results, and the Twin-Q helpers of
+:mod:`repro.core.twinq`.  Because every member owns disjoint
 generator objects, interleaving members across lockstep phases cannot
 reorder any single member's draw sequence — which is the whole
 bit-identity argument, phase by phase:
@@ -42,34 +46,26 @@ Pinned by ``tests/test_population_equivalence.py`` and the
 
 from __future__ import annotations
 
-import inspect
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.online import OnlineTuner
-from repro.core.resilience import (
-    ResiliencePolicy,
-    burnt_attempt_seconds,
-    sanitize_state,
+from repro.core.online import OnlineTuner, record_online_stage
+from repro.core.resilience import ResiliencePolicy
+from repro.core.result import OnlineSession
+from repro.core.twinq import (
+    DEFAULT_MAX_ITERATIONS,
+    TwinQOutcome,
+    candidate_rounds,
+    record_screening,
 )
-from repro.core.result import OnlineSession, TuningStepRecord
-from repro.core.twinq import twin_q_optimize
 from repro.envs.population import VectorTuningEnv
-from repro.envs.tuning_env import StepOutcome, TuningEnv
-from repro.replay.base import Transition
-from repro.replay.per import PrioritizedReplayBuffer
+from repro.envs.tuning_env import TuningEnv
 
 __all__ = ["PopulationMember", "PopulationTuner", "population_seed_plan"]
-
-#: Candidate budget per Twin-Q escalation round — must track the scalar
-#: optimizer's default, which the online loop always uses.
-_TWINQ_MAX_ITERATIONS = int(
-    inspect.signature(twin_q_optimize).parameters["max_iterations"].default
-)
 
 
 def population_seed_plan(base_seed: int, n: int) -> list[int]:
@@ -150,7 +146,7 @@ class PopulationTuner:
         self._originals = np.zeros((n, self.view.action_dim))
         self._noise = np.zeros((n, self.view.action_dim))
         self._cands = np.zeros(
-            (n, _TWINQ_MAX_ITERATIONS, self.view.action_dim)
+            (n, DEFAULT_MAX_ITERATIONS, self.view.action_dim)
         )
 
     # ------------------------------------------------------------ factory
@@ -170,9 +166,8 @@ class PopulationTuner:
         param_allocator=None,
     ) -> "PopulationTuner":
         """Build a population from :class:`~repro.core.deepcat.DeepCAT`
-        instances, mirroring ``DeepCAT.tune_online``'s construction of
-        the per-session :class:`OnlineTuner` (same name, thresholds, and
-        — critically — the same ``_online_rng`` stream).
+        instances, each member's :class:`OnlineTuner` built exactly as
+        ``DeepCAT.tune_online`` builds it (:meth:`DeepCAT.online_tuner`).
         """
         tuners = list(tuners)
         envs = list(envs)
@@ -188,17 +183,10 @@ class PopulationTuner:
         for dc, env, res, session, start in zip(
             tuners, envs, resiliences, sessions, start_steps
         ):
-            dc._record_provenance(telemetry, env)
-            online = OnlineTuner(
-                dc.agent,
-                dc.buffer,
-                name="DeepCAT" if dc.use_twin_q else "DeepCAT-noTwinQ",
-                use_twin_q=dc.use_twin_q,
-                q_threshold=dc.q_threshold,
-                twinq_noise_sigma=dc.twinq_noise_sigma,
+            online = dc.online_tuner(
+                env,
                 fine_tune_updates=fine_tune_updates,
                 exploration_sigma=exploration_sigma,
-                rng=dc._online_rng,
                 telemetry=telemetry,
             )
             members.append(
@@ -219,90 +207,18 @@ class PopulationTuner:
     def sessions(self) -> list[OnlineSession]:
         return [m.session for m in self.members]
 
-    # ----------------------------------------------------------- resilience
-
-    def _finish_resilient(
-        self,
-        m: PopulationMember,
-        first_outcome: StepOutcome,
-        action: np.ndarray,
-        step: int,
-        member: int | None = None,
-    ) -> tuple[StepOutcome, int, float]:
-        """``OnlineTuner._evaluate_resilient`` with attempt 1 precomputed
-        (the batched population evaluation); retries fall back to scalar
-        ``env.step`` on the member's own streams.
-        """
-        mt = m.tuner
-        t = mt.telemetry
-        resilience = m.resilience
-        watchdog = resilience.watchdog
-        schedule = (
-            resilience.retry.schedule() if resilience.retry is not None else ()
-        )
-        max_attempts = resilience.max_attempts
-        extra_cost = 0.0
-        outcome = first_outcome
-        for attempt in range(max_attempts):
-            if attempt > 0:
-                outcome = m.env.step(action)
-            if watchdog is not None:
-                verdict = watchdog.inspect(
-                    outcome.duration_s, m.env.default_duration
-                )
-                if verdict.aborted:
-                    outcome = replace(
-                        outcome,
-                        duration_s=verdict.charged_s,
-                        success=False,
-                        reward=float(
-                            m.env.reward_fn(verdict.charged_s, success=False)
-                        ),
-                        faults=(*outcome.faults, "watchdog-abort"),
-                    )
-                    t.count(
-                        "resilience.watchdog_aborts_total",
-                        help="evaluations aborted by the watchdog",
-                        tuner=mt.name,
-                    )
-                    mt._note_intervention("watchdog-abort", step)
-            if outcome.success or attempt == max_attempts - 1:
-                return outcome, attempt + 1, extra_cost
-            burnt = burnt_attempt_seconds(
-                outcome.duration_s, schedule[attempt]
-            )
-            extra_cost += burnt
-            if t.ledger.enabled:
-                t.ledger.charge(
-                    "retry",
-                    burnt,
-                    step=step,
-                    member=member,
-                    attempt=attempt + 1,
-                    faults=list(outcome.faults),
-                )
-            t.count(
-                "resilience.retries_total",
-                help="failed evaluations retried with backoff",
-                tuner=mt.name,
-            )
-            mt._note_intervention("retry", step)
-        raise AssertionError("unreachable")  # pragma: no cover
-
     # ---------------------------------------------------------------- twinq
 
-    def _twinq_resolve(
-        self, indices: list[int], step: int
-    ) -> dict[int, dict]:
+    def _twinq_resolve(self, indices: list[int]) -> dict[int, dict]:
         """Run the Twin-Q Optimizer for every member in ``indices``,
         batching each escalation round's critic scoring across members.
 
-        Replicates :func:`repro.core.twinq.twin_q_optimize` (wrapper
-        counters included) member by member: candidate fans are drawn
-        eagerly per member in member order — exactly as the scalar
-        ``_optimize`` builds all three rounds up front — and round ``r``
-        is scored for every still-unresolved member in one stacked
-        critic pass whose rows are bit-identical to ``twin_q_batch``.
+        Same result, draws and counters per member as
+        :func:`repro.core.twinq.twin_q_optimize`: each member draws its
+        three rounds up front with ``candidate_rounds``, in member
+        order, and round ``r`` is scored for every still-unresolved
+        member in one stacked critic pass whose rows are bit-identical
+        to ``twin_q_batch``.
         """
         members = self.members
         for i in indices:
@@ -311,46 +227,29 @@ class PopulationTuner:
             )
         min_qs = self.view.min_q(self._states, self._originals)
 
-        n_cand = _TWINQ_MAX_ITERATIONS
-        pending: dict[int, tuple] = {}  # i -> (round0, round1, round2)
-        resolved: dict[int, tuple] = {}  # i -> (q, iters, accepted)
+        fans: dict[int, tuple] = {}  # i -> the three candidate rounds
         scored: dict[int, int] = {}
+        outcomes: dict[int, TwinQOutcome] = {}
         for i in indices:
             mt = members[i].tuner
-            original_q = min_qs[i]
+            original, original_q = self._originals[i], min_qs[i]
             if original_q >= mt.q_threshold:
-                resolved[i] = (original_q, 0, True)
+                outcomes[i] = TwinQOutcome(
+                    original, original_q, 0, True, original_q
+                )
                 continue
-            rng = mt._rng
-            original = self._originals[i]
-            sigma = mt.twinq_noise_sigma
-            local_sigmas = sigma * (
-                1.0 + 2.0 * np.arange(n_cand) / max(n_cand - 1, 1)
-            )
-            pending[i] = (
-                np.clip(
-                    original[None, :]
-                    + rng.normal(0.0, 1.0, (n_cand, original.size))
-                    * local_sigmas[:, None],
-                    0.0,
-                    1.0,
-                ),
-                np.clip(
-                    original[None, :]
-                    + rng.normal(0.0, 4.0 * sigma, (n_cand, original.size)),
-                    0.0,
-                    1.0,
-                ),
-                rng.uniform(0.0, 1.0, (n_cand, original.size)),
+            fans[i] = candidate_rounds(
+                original, mt.twinq_noise_sigma, mt._rng,
+                DEFAULT_MAX_ITERATIONS,
             )
             scored[i] = 0
 
         for r in range(3):
-            need = [i for i in indices if i in pending]
+            need = [i for i in indices if i in fans]
             if not need:
                 break
             for i in need:
-                self._cands[i] = pending[i][r]
+                self._cands[i] = fans[i][r]
             scores = self.view.twin_q_rows(self._states, self._cands)
             for i in need:
                 qs = scores[i]
@@ -358,65 +257,31 @@ class PopulationTuner:
                 if above.size:
                     first = int(above[0])
                     scored[i] += first + 1
-                    self._actions[i] = pending[i][r][first]
-                    resolved[i] = (float(qs[first]), scored[i], True)
-                    del pending[i]
+                    outcomes[i] = TwinQOutcome(
+                        fans.pop(i)[r][first], float(qs[first]), scored[i],
+                        True, min_qs[i],
+                    )
                 else:
-                    scored[i] += n_cand
-        for i in list(pending):
+                    scored[i] += DEFAULT_MAX_ITERATIONS
+        for i in fans:
             # Nothing cleared Q_th: fall back to the original
             # recommendation, exactly as the scalar optimizer does.
-            self._actions[i] = self._originals[i]
-            resolved[i] = (min_qs[i], scored[i], False)
-            del pending[i]
+            outcomes[i] = TwinQOutcome(
+                self._originals[i], min_qs[i], scored[i], False, min_qs[i]
+            )
 
         diags: dict[int, dict] = {}
         for i in indices:
-            mt = members[i].tuner
-            t = mt.telemetry
-            q_value, iterations, accepted = resolved[i]
-            original_q = min_qs[i]
+            outcome = outcomes[i]
+            self._actions[i] = outcome.action
+            t = members[i].tuner.telemetry
             with t.phase("twinq.optimize"), t.span(
                 "twinq.optimize"
             ) as span:
-                span.set_attr("iterations", iterations)
-                span.set_attr("accepted", accepted)
-            t.count(
-                "twinq.invocations_total",
-                help="recommendations screened by the Twin-Q Optimizer",
-            )
-            t.count(
-                "twinq.iterations_total",
-                iterations,
-                help="candidate actions scored across all screenings",
-            )
-            if iterations == 0:
-                t.count(
-                    "twinq.passthrough_total",
-                    help="recommendations accepted without perturbation",
-                )
-            elif accepted:
-                t.count(
-                    "twinq.accepted_total",
-                    help="perturbed candidates that cleared Q_th",
-                )
-            else:
-                t.count(
-                    "twinq.rejected_total",
-                    help="screenings that fell back to the original action",
-                )
-            t.observe(
-                "twinq.q_improvement",
-                q_value - original_q,
-                help="min(Q1,Q2) gain of the executed action over the "
-                "original",
-            )
-            diags[i] = {
-                "twinq_iterations": iterations,
-                "twinq_accepted": accepted,
-                "original_q": original_q,
-                "final_q": q_value,
-            }
+                span.set_attr("iterations", outcome.iterations)
+                span.set_attr("accepted", outcome.accepted)
+            record_screening(t, outcome)
+            diags[i] = outcome.diag()
         return diags
 
     # ----------------------------------------------------------------- tune
@@ -467,29 +332,7 @@ class PopulationTuner:
         ``state``/``done`` flags.  Split out of :meth:`tune` so a shard
         worker can drive rounds one at a time via :meth:`run_round`."""
         for m in self.members:
-            mt = m.tuner
-            t = mt.telemetry
-            if hasattr(m.env, "attach_telemetry"):
-                m.env.attach_telemetry(t)
-            if mt.buffer is not None and hasattr(mt.buffer, "set_telemetry"):
-                mt.buffer.set_telemetry(t)
-            if hasattr(mt.agent, "telemetry"):
-                mt.agent.telemetry = t
-            if m.session is None:
-                m.session = OnlineSession(
-                    tuner=mt.name,
-                    workload=m.env.runner.workload.code,
-                    dataset=m.env.runner.dataset.label,
-                    default_duration_s=m.env.default_duration,
-                )
-            state = (
-                m.env.observation
-                if hasattr(m.env, "observation")
-                else m.env.state
-            )
-            if m.resilience is not None:
-                state, _ = sanitize_state(state)
-            m.state = state
+            m.session, m.state = m.tuner._open(m.env, m.resilience, m.session)
             m.done = m.start_step >= steps
 
     def run_round(
@@ -524,21 +367,9 @@ class PopulationTuner:
         self.record_manifests()
 
     def record_manifests(self) -> None:
+        """One ``online-tune`` manifest stage per member."""
         for m in self.members:
-            t = m.tuner.telemetry
-            successes = [s for s in m.session.steps if s.success]
-            if t.manifest is not None:
-                t.manifest.record_stage(
-                    "online-tune",
-                    tuner=m.tuner.name,
-                    workload=m.session.workload,
-                    dataset=m.session.dataset,
-                    steps=len(m.session.steps),
-                    best_duration_s=(
-                        m.session.best_duration_s if successes else None
-                    ),
-                    total_tuning_seconds=m.session.total_tuning_seconds,
-                )
+            record_online_stage(m.tuner.telemetry, m.tuner.name, m.session)
 
     def _screen_nonfinite(self, active: list[int], step: int) -> list[int]:
         """Drop members whose nets went non-finite from the lockstep.
@@ -574,10 +405,12 @@ class PopulationTuner:
     def _finish_quarantined(
         self, steps: int, time_budget_s: float | None
     ) -> None:
-        """Run each quarantined member's remaining steps alone via the
-        scalar :meth:`OnlineTuner.tune` path.  Its nets are already
-        damaged, so even the sequential finish may fail — that failure
-        is contained to the member and recorded, never propagated."""
+        """Run each quarantined member's remaining steps alone through
+        :meth:`OnlineTuner.tune`'s loop (its manifest stage is left to
+        :meth:`record_manifests`, like every member's).  Its nets are
+        already damaged, so even the sequential finish may fail — that
+        failure is contained to the member and recorded, never
+        propagated."""
         for i, m in enumerate(self.members):
             if not m.quarantined or m.done:
                 continue
@@ -586,10 +419,9 @@ class PopulationTuner:
                 continue
             t = m.tuner.telemetry
             try:
-                m.tuner.tune(
-                    m.env, steps=steps, time_budget_s=time_budget_s,
-                    session=m.session, start_step=start,
-                    resilience=m.resilience,
+                m.tuner._run_steps(
+                    m.env, steps, time_budget_s, m.session, start,
+                    m.resilience,
                 )
             except Exception as exc:
                 t.count(
@@ -606,45 +438,25 @@ class PopulationTuner:
     def _lockstep(
         self, step: int, active: list[int], time_budget_s: float | None
     ) -> None:
-        """One population step: batched recommend + evaluate, scalar tail."""
+        """One population step: batched recommend + evaluate, then each
+        member's :meth:`OnlineTuner._absorb`."""
         members = self.members
         lead = members[0].tuner.telemetry
         t0 = time.perf_counter()
 
-        # Phase A+B+C — recommendation.  Guard fallbacks and exploration
-        # sigmas first (scalar, member order), then one stacked actor
-        # pass, then per-member exploration noise, then the batched
-        # Twin-Q resolution.
-        fallback: dict[int, bool] = {}
+        # Recommendation: each member's plan (guard fallback or sigma)
+        # in member order, then one stacked actor pass, per-member
+        # exploration noise, and the batched Twin-Q resolution.
         sigma: dict[int, float | None] = {}
-        diags: dict[int, dict] = {}
+        diags: dict[int, dict] = {i: {} for i in active}
         recommend_idx: list[int] = []
         with lead.span("population.recommend", step=step):
             for i in active:
                 m = members[i]
-                mt = m.tuner
-                guard = (
-                    m.resilience.guard if m.resilience is not None else None
-                )
-                if guard is not None and guard.should_fallback:
-                    self._actions[i] = guard.trigger_fallback()
-                    fallback[i] = True
-                    sigma[i] = None
-                    diags[i] = {}
-                    mt.telemetry.count(
-                        "resilience.fallbacks_total",
-                        help="safety-guard fallbacks to "
-                        "best-known-good configuration",
-                        tuner=mt.name,
-                    )
-                    mt._note_intervention("fallback", step)
+                action, sigma[i] = m.tuner._plan(m.resilience, step)
+                if action is not None:
+                    self._actions[i] = action
                 else:
-                    fallback[i] = False
-                    sigma[i] = (
-                        guard.effective_sigma(mt.exploration_sigma)
-                        if guard is not None
-                        else mt.exploration_sigma
-                    )
                     self._states[i] = m.state
                     recommend_idx.append(i)
             if recommend_idx:
@@ -656,9 +468,8 @@ class PopulationTuner:
                 # which is bit-identical to the per-member expression.
                 noisy: list[int] = []
                 for i in recommend_idx:
-                    mt = members[i].tuner
                     if sigma[i] > 0:
-                        self._noise[i] = mt._rng.normal(
+                        self._noise[i] = members[i].tuner._rng.normal(
                             0.0, sigma[i], (self.view.action_dim,)
                         )
                         noisy.append(i)
@@ -673,34 +484,28 @@ class PopulationTuner:
                     i for i in recommend_idx if members[i].tuner.use_twin_q
                 ]
                 if twinq_idx:
-                    diags.update(self._twinq_resolve(twinq_idx, step))
-                for i in recommend_idx:
-                    diags.setdefault(i, {})
+                    diags.update(self._twinq_resolve(twinq_idx))
         # One batched recommendation, split equally; sessions_equal
         # excludes this wall-clock field (module docstring).
         rec_share = (time.perf_counter() - t0) / len(active)
 
-        # Phase D — evaluation: attempt 1 for every member through one
-        # shared simulator pass; retries scalar per member.
+        # Evaluation: attempt 1 for every member through one shared
+        # simulator pass; retries scalar per member.
         with lead.span("population.evaluate", step=step):
             first = self.venv.step(self._actions[active], indices=active)
-            resolved: list[tuple[StepOutcome, int, float]] = []
-            for pos, i in enumerate(active):
-                m = members[i]
-                if m.resilience is not None:
-                    resolved.append(
-                        self._finish_resilient(
-                            m, first[pos], self._actions[i], step, member=i
-                        )
-                    )
-                else:
-                    resolved.append((first[pos], 1, 0.0))
+            evaluated = [
+                members[i].tuner._evaluate(
+                    members[i].env, self._actions[i], members[i].resilience,
+                    step, first=first[pos], member=i,
+                )
+                for pos, i in enumerate(active)
+            ]
 
-        # Phase E — scalar tail per member, in member order: replay push,
-        # fine-tune (writes through the stacked views), record, counters.
-        # Sinks are put in deferred-flush mode for the whole tail, so the
-        # round issues one flush per distinct event log / ledger instead
-        # of one per member (content and order unchanged).
+        # Per member, in member order: replay push, fine-tune (writes
+        # through the stacked views), record, counters, events.  Sinks
+        # are put in deferred-flush mode for the whole pass, so the round
+        # issues one flush per distinct event log / ledger instead of one
+        # per member (content and order unchanged).
         with ExitStack() as flushes:
             seen: set[int] = set()
             for i in active:
@@ -709,145 +514,11 @@ class PopulationTuner:
                     if id(sink) not in seen:
                         seen.add(id(sink))
                         flushes.enter_context(sink.deferred())
-            self._scalar_tail(
-                step, active, resolved, diags, fallback, sigma,
-                rec_share, time_budget_s,
-            )
-
-    def _scalar_tail(
-        self,
-        step: int,
-        active: list[int],
-        resolved: list[tuple[StepOutcome, int, float]],
-        diags: dict[int, dict],
-        fallback: dict[int, bool],
-        sigma: dict[int, float | None],
-        rec_share: float,
-        time_budget_s: float | None,
-    ) -> None:
-        members = self.members
-        for pos, i in enumerate(active):
-            m = members[i]
-            mt = m.tuner
-            t = mt.telemetry
-            outcome, attempts, extra_cost = resolved[pos]
-            next_state = outcome.next_state
-            if m.resilience is not None:
-                next_state, n_repaired = sanitize_state(next_state)
-                if n_repaired:
-                    t.count(
-                        "resilience.state_repairs_total",
-                        n_repaired,
-                        help="NaN observation entries repaired",
-                        tuner=mt.name,
-                    )
-                    mt._note_intervention("state-repair", step)
-            m.state = next_state
-            guard = m.resilience.guard if m.resilience is not None else None
-            if guard is not None:
-                guard.record(outcome.success, outcome.reward, outcome.action)
-
-            if mt.buffer is not None:
-                mt.buffer.push(
-                    Transition(
-                        state=outcome.state,
-                        action=outcome.action,
-                        reward=outcome.reward,
-                        next_state=next_state,
-                    )
+            for pos, i in enumerate(active):
+                m = members[i]
+                m.state, m.done = m.tuner._absorb(
+                    m.env, m.session, m.resilience, step, evaluated[pos],
+                    diag=diags[i], sigma=sigma[i],
+                    recommendation_s=rec_share, time_budget_s=time_budget_s,
+                    member=i,
                 )
-                if mt.buffer.can_sample(mt.agent.hp.batch_size):
-                    with t.span("online.finetune"):
-                        for _ in range(mt.fine_tune_updates):
-                            batch = mt.buffer.sample(mt.agent.hp.batch_size)
-                            d = mt.agent.update(batch)
-                            if isinstance(
-                                mt.buffer, PrioritizedReplayBuffer
-                            ):
-                                mt.buffer.update_priorities(
-                                    batch.indices, d["td_errors"]
-                                )
-
-            step_cost_s = float(outcome.duration_s + extra_cost)
-            diag = diags[i]
-            m.session.add(
-                TuningStepRecord(
-                    step=step,
-                    duration_s=step_cost_s,
-                    recommendation_s=rec_share,
-                    reward=outcome.reward,
-                    success=outcome.success,
-                    config=outcome.config,
-                    action=outcome.action,
-                    twinq_iterations=diag.get("twinq_iterations"),
-                    twinq_accepted=diag.get("twinq_accepted"),
-                    original_q=diag.get("original_q"),
-                    final_q=diag.get("final_q"),
-                    attempts=attempts,
-                    aborted="watchdog-abort" in outcome.faults,
-                    fallback=fallback[i],
-                    faults=outcome.faults,
-                )
-            )
-            if t.ledger.enabled:
-                # Same per-step charge shape as the scalar loop; the
-                # batched recommendation is split equally (rec_share).
-                mt._charge_step(
-                    m.env, step, outcome, diag, fallback[i], rec_share,
-                    attempts, member=i,
-                )
-            t.count(
-                "online.steps_total",
-                help="online tuning steps served",
-                tuner=mt.name,
-            )
-            t.count(
-                "online.recommendation_seconds_total",
-                rec_share,
-                help="cumulative recommendation time",
-                tuner=mt.name,
-            )
-            t.count(
-                "online.evaluation_seconds_total",
-                step_cost_s,
-                help="cumulative configuration evaluation time",
-                tuner=mt.name,
-            )
-            t.observe(
-                "online.step_reward",
-                float(outcome.reward),
-                help="per-step reward",
-                tuner=mt.name,
-            )
-            if t.diagnostics.enabled:
-                q_pred = diag.get("final_q")
-                if q_pred is None and hasattr(mt.agent, "min_q"):
-                    q_pred = float(
-                        mt.agent.min_q(outcome.state, outcome.action)
-                    )
-                t.diagnostics.observe_step(
-                    step=step,
-                    reward=float(outcome.reward),
-                    success=bool(outcome.success),
-                    q_pred=q_pred,
-                    sigma=sigma[i],
-                )
-                for alert in t.diagnostics.drain_alerts():
-                    t.event("alert", **alert.as_event_fields())
-            t.event(
-                "online-step",
-                tuner=mt.name,
-                step=step,
-                duration_s=step_cost_s,
-                reward=float(outcome.reward),
-                success=bool(outcome.success),
-                recommendation_s=float(rec_share),
-                attempts=attempts,
-                fallback=fallback[i],
-                faults=list(outcome.faults),
-            )
-            if (
-                time_budget_s is not None
-                and m.session.total_tuning_seconds >= time_budget_s
-            ):
-                m.done = True

@@ -33,7 +33,17 @@ import numpy as np
 
 from repro.agents.td3 import TD3Agent
 
-__all__ = ["TwinQOutcome", "twin_q_optimize", "screening_saving"]
+__all__ = [
+    "DEFAULT_MAX_ITERATIONS",
+    "TwinQOutcome",
+    "candidate_rounds",
+    "record_screening",
+    "screening_saving",
+    "twin_q_optimize",
+]
+
+#: Candidate budget per escalation round; the online loop always uses it.
+DEFAULT_MAX_ITERATIONS = 64
 
 
 def screening_saving(reward_fn, original_q: float, final_q: float) -> float:
@@ -63,6 +73,15 @@ class TwinQOutcome:
     accepted: bool  # True if some candidate cleared Q_th
     original_q: float  # min(Q1, Q2) of the original recommendation
 
+    def diag(self) -> dict:
+        """The per-step fields a :class:`TuningStepRecord` carries."""
+        return {
+            "twinq_iterations": self.iterations,
+            "twinq_accepted": self.accepted,
+            "original_q": self.original_q,
+            "final_q": self.q_value,
+        }
+
 
 def twin_q_optimize(
     agent: TD3Agent,
@@ -71,7 +90,7 @@ def twin_q_optimize(
     q_threshold: float,
     noise_sigma: float = 0.1,
     rng: np.random.Generator | None = None,
-    max_iterations: int = 64,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
     telemetry=None,
 ) -> TwinQOutcome:
     """Run Algorithm 1 for one recommended action.
@@ -117,6 +136,13 @@ def twin_q_optimize(
         )
         span.set_attr("iterations", outcome.iterations)
         span.set_attr("accepted", outcome.accepted)
+    record_screening(telemetry, outcome)
+    return outcome
+
+
+def record_screening(telemetry, outcome: TwinQOutcome) -> None:
+    """Count one screening: the iteration/acceptance counters behind the
+    paper's Figures 3 and 5, plus the Q gain of the executed action."""
     telemetry.count(
         "twinq.invocations_total",
         help="recommendations screened by the Twin-Q Optimizer",
@@ -146,7 +172,41 @@ def twin_q_optimize(
         outcome.q_value - outcome.original_q,
         help="min(Q1,Q2) gain of the executed action over the original",
     )
-    return outcome
+
+
+def candidate_rounds(
+    original: np.ndarray,
+    noise_sigma: float,
+    rng: np.random.Generator,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three escalating candidate rounds of ``n`` actions each, drawn
+    from ``rng`` up front in one fixed order.
+
+    Mirrors the paper's "repeat until a close-to-optimal action is
+    recommended": a local fan around the recommendation first, then a
+    wide fan, then uniform candidates — when the proposal sits in a
+    deeply bad basin (strongly negative Q) no amount of local noise
+    escapes it, and the critics are perfectly able to endorse an action
+    elsewhere in the cube.
+    """
+    local_sigmas = noise_sigma * (1.0 + 2.0 * np.arange(n) / max(n - 1, 1))
+    return (
+        np.clip(
+            original[None, :]
+            + rng.normal(0.0, 1.0, (n, original.size))
+            * local_sigmas[:, None],
+            0.0,
+            1.0,
+        ),
+        np.clip(
+            original[None, :]
+            + rng.normal(0.0, 4.0 * noise_sigma, (n, original.size)),
+            0.0,
+            1.0,
+        ),
+        rng.uniform(0.0, 1.0, (n, original.size)),
+    )
 
 
 def _optimize(
@@ -172,30 +232,7 @@ def _optimize(
         # a single-critic ablation): score candidates one at a time.
         return np.array([agent.min_q(state, c) for c in candidates])
 
-    # Escalating search rounds, mirroring the paper's "repeat until a
-    # close-to-optimal action is recommended": a local fan around the
-    # recommendation first, then a wide fan, then uniform candidates —
-    # when the proposal sits in a deeply bad basin (strongly negative Q)
-    # no amount of local noise escapes it, and the critics are perfectly
-    # able to endorse an action elsewhere in the cube.
-    n = max_iterations
-    local_sigmas = noise_sigma * (1.0 + 2.0 * np.arange(n) / max(n - 1, 1))
-    rounds = (
-        np.clip(
-            original[None, :]
-            + rng.normal(0.0, 1.0, (n, original.size))
-            * local_sigmas[:, None],
-            0.0,
-            1.0,
-        ),
-        np.clip(
-            original[None, :]
-            + rng.normal(0.0, 4.0 * noise_sigma, (n, original.size)),
-            0.0,
-            1.0,
-        ),
-        rng.uniform(0.0, 1.0, (n, original.size)),
-    )
+    rounds = candidate_rounds(original, noise_sigma, rng, max_iterations)
     scored = 0
     for candidates in rounds:
         qs = score(candidates)

@@ -595,20 +595,8 @@ class ShardedPopulation:
             if kind != "done":  # pragma: no cover - protocol error
                 raise ShardCrash(f"shard {sh.index} bad finish reply")
             self._absorb(sh, blob)
-        t = self.telemetry
-        if t.manifest is not None:
-            for session in self.sessions:
-                if session is None:
-                    continue
-                successes = [s for s in session.steps if s.success]
-                t.manifest.record_stage(
-                    "online-tune",
-                    tuner=session.tuner,
-                    workload=session.workload,
-                    dataset=session.dataset,
-                    steps=len(session.steps),
-                    best_duration_s=(
-                        session.best_duration_s if successes else None
-                    ),
-                    total_tuning_seconds=session.total_tuning_seconds,
-                )
+        from repro.core.online import record_online_stage
+
+        for session in self.sessions:
+            if session is not None:
+                record_online_stage(self.telemetry, session.tuner, session)

@@ -37,6 +37,7 @@ from repro.envs.population import VectorTuningEnv
 from repro.factory import make_env
 from repro.nn.population import StackedSequential
 from repro.replay.base import Transition
+from repro.telemetry import RunContext
 
 FAULT_PRESETS = (None, "flaky", "degraded", "hostile")
 
@@ -235,7 +236,7 @@ def test_population_seed_plan_is_spawn_derived_and_stable():
 
 def _sequential_sessions(n, *, fault_profile=None, resilience=False,
                          prefill=0, steps=4, fine_tune_updates=0,
-                         **deepcat_kwargs):
+                         telemetry=None, **deepcat_kwargs):
     envs = _member_envs(n, fault_profile=fault_profile)
     tuners = _deepcats(n, envs, prefill=prefill, **deepcat_kwargs)
     sessions = []
@@ -246,7 +247,7 @@ def _sequential_sessions(n, *, fault_profile=None, resilience=False,
         sessions.append(
             tuner.tune_online(
                 env, steps=steps, fine_tune_updates=fine_tune_updates,
-                resilience=res,
+                resilience=res, telemetry=telemetry,
             )
         )
     return sessions
@@ -254,7 +255,7 @@ def _sequential_sessions(n, *, fault_profile=None, resilience=False,
 
 def _population_sessions(n, *, fault_profile=None, resilience=False,
                          prefill=0, steps=4, fine_tune_updates=0,
-                         **deepcat_kwargs):
+                         telemetry=None, **deepcat_kwargs):
     envs = _member_envs(n, fault_profile=fault_profile)
     tuners = _deepcats(n, envs, prefill=prefill, **deepcat_kwargs)
     resiliences = (
@@ -264,7 +265,7 @@ def _population_sessions(n, *, fault_profile=None, resilience=False,
     )
     population = PopulationTuner.from_deepcat(
         tuners, envs, fine_tune_updates=fine_tune_updates,
-        resiliences=resiliences,
+        resiliences=resiliences, telemetry=telemetry,
     )
     return population.tune(steps=steps)
 
@@ -304,6 +305,32 @@ def test_population_tune_matches_sequential_with_resilience():
         "hostile preset produced no resilience interventions; the test "
         "no longer exercises the retry path"
     )
+
+
+def _counters(ctx):
+    return {
+        (m["name"], tuple(map(tuple, m["labels"]))): m["state"]["value"]
+        for m in ctx.metrics.state()["metrics"]
+        if m["kind"] == "counter"
+    }
+
+
+@pytest.mark.determinism
+def test_population_telemetry_counters_match_sequential():
+    """The telemetry half of the contract: every counter a population
+    emits equals the sequential runs' total.  Only the recommendation
+    seconds differ; they are wall clock."""
+    wall_clock = "online.recommendation_seconds_total"
+    kwargs = dict(fault_profile="hostile", resilience=True, steps=5)
+    seq_ctx, pop_ctx = RunContext.recording(), RunContext.recording()
+    _sequential_sessions(3, telemetry=seq_ctx, **kwargs)
+    _population_sessions(3, telemetry=pop_ctx, **kwargs)
+    seq, pop = _counters(seq_ctx), _counters(pop_ctx)
+    assert seq.keys() == pop.keys()
+    assert any(name == "resilience.retries_total" for name, _ in seq)
+    for key, value in seq.items():
+        if key[0] != wall_clock:
+            assert pop[key] == value, key
 
 
 @pytest.mark.determinism

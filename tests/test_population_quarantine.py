@@ -100,6 +100,23 @@ class TestQuarantine:
         assert len(sessions[1].steps) == STEPS
         assert len(sessions[2].steps) == STEPS
 
+    @pytest.mark.parametrize("net", ["critic", "actor"])
+    def test_each_member_records_one_manifest_stage(self, net):
+        # A poisoned critic lets the sequential finish succeed; a
+        # poisoned actor makes it raise.  Either way every member,
+        # quarantined or not, gets exactly one online-tune stage.
+        ctx = RunContext.recording()
+        pop = _population(telemetry=ctx)
+        if net == "critic":
+            pop.view.critic1._ops[0].b[1, 0] = np.nan
+        else:
+            _poison(pop, member=1)
+        pop.tune(steps=STEPS)
+        assert pop.members[1].quarantined is True
+        stages = [s for s in ctx.manifest.stages
+                  if s["stage"] == "online-tune"]
+        assert len(stages) == N
+
     def test_quarantine_emits_telemetry(self):
         ctx = RunContext.recording()
         pop = _population(telemetry=ctx)
