@@ -109,7 +109,7 @@ class DDPGAgent:
         mean_q = float(np.mean(q))
         weights = batch.weights if batch.weights is not None else 1.0
         critic_loss = float(np.mean(weights * td_errors**2))
-        self.critic.backward((2.0 / m) * weights * td_errors)
+        self.critic.backward((2.0 / m) * weights * td_errors, input_grad=False)
         self.critic_opt.step()
 
         # --- actor: ascend dQ/da through the fresh critic ---
@@ -117,11 +117,14 @@ class DDPGAgent:
         actions = self.actor.forward(batch.states)
         q_pi = self.critic.forward(critic_input(batch.states, actions))
         # Maximize mean Q => descend on -Q; route the gradient through the
-        # critic input back into the actor output.
-        grad_in = self.critic.backward(np.full_like(q_pi, -1.0 / m))
-        self.actor.backward(grad_in[:, self.state_dim :])
+        # critic input back into the actor output.  Neither the critic's
+        # parameter gradients nor the actor's input gradient are needed.
+        grad_in = self.critic.backward(
+            np.full_like(q_pi, -1.0 / m), params=False
+        )
+        self.actor.backward(grad_in[:, self.state_dim :], input_grad=False)
         self.actor_opt.step()
-        # The actor pass polluted critic parameter grads; clear them.
+        # Clear what the critic step left (checkpoints pickle the grads).
         self.critic.zero_grad()
 
         soft_update(self.actor_target, self.actor, self.hp.tau)

@@ -128,13 +128,13 @@ class TD3Agent:
         self.critic1.zero_grad()
         q1 = self.critic1.forward(x)
         td1 = q1 - y
-        self.critic1.backward((2.0 / m) * weights * td1)
+        self.critic1.backward((2.0 / m) * weights * td1, input_grad=False)
         self.critic1_opt.step()
 
         self.critic2.zero_grad()
         q2 = self.critic2.forward(x)
         td2 = q2 - y
-        self.critic2.backward((2.0 / m) * weights * td2)
+        self.critic2.backward((2.0 / m) * weights * td2, input_grad=False)
         self.critic2_opt.step()
 
         critic_loss = float(np.mean(weights * (td1**2 + td2**2)) / 2.0)
@@ -150,8 +150,12 @@ class TD3Agent:
             self.actor.zero_grad()
             actions = self.actor.forward(batch.states)
             q_pi = self.critic1.forward(critic_input(batch.states, actions))
-            grad_in = self.critic1.backward(np.full_like(q_pi, -1.0 / m))
-            self.actor.backward(grad_in[:, self.state_dim :])
+            # Route dQ/da through critic1 without its parameter
+            # gradients; the actor's own input gradient is never read.
+            grad_in = self.critic1.backward(
+                np.full_like(q_pi, -1.0 / m), params=False
+            )
+            self.actor.backward(grad_in[:, self.state_dim :], input_grad=False)
             self.actor_opt.step()
             self.critic1.zero_grad()
 

@@ -142,6 +142,29 @@ def _bench_rdper_sample():
     return run
 
 
+@bench("per.sample", kind="micro", items=100,
+       description="TD-error PER sample(128) + priority refresh")
+def _bench_per_sample():
+    from repro.replay.per import PrioritizedReplayBuffer
+
+    env = _make_env()
+    buffer = PrioritizedReplayBuffer(
+        capacity=20_000,  # CDBTune's buffer
+        state_dim=env.state.shape[0],
+        action_dim=env.space.dim,
+        rng=np.random.default_rng(_SEED),
+    )
+    _fill_buffer(buffer, env, 2000)
+    td_errors = np.random.default_rng(_SEED + 1).normal(size=(100, 128))
+
+    def run() -> None:
+        for td in td_errors:
+            batch = buffer.sample(128)
+            buffer.update_priorities(batch.indices, td)
+
+    return run
+
+
 @bench("twinq.accept", kind="micro", items=20,
        description="Twin-Q Optimizer accept loop on one recommendation")
 def _bench_twinq_accept():

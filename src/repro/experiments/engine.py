@@ -48,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import pickle
@@ -73,6 +74,7 @@ import numpy as np
 from repro.cluster.hardware import CLUSTER_A, CLUSTER_B, ClusterSpec
 from repro.experiments.common import (
     ExperimentScale,
+    clear_model_cache,
     fork_tuner,
     get_scale,
     online_env,
@@ -870,6 +872,11 @@ def _execute_task(task: TaskSpec) -> tuple[Any, float]:
     return result, time.perf_counter() - t0
 
 
+#: Run token whose trained models this process's model cache holds.
+_CACHE_RUN: tuple[int, int] | None = None
+_RUN_TOKENS = itertools.count()
+
+
 def _supervised_task(
     task: TaskSpec,
     index: int,
@@ -879,6 +886,7 @@ def _supervised_task(
     bus_dir: str | None = None,
     source: str | None = None,
     trace: tuple[str, str] | None = None,
+    run_token: tuple[int, int] | None = None,
 ) -> tuple[Any, float, dict[str, Any] | None]:
     """Supervised worker entry point: never raises.
 
@@ -890,7 +898,17 @@ def _supervised_task(
     ``Future.running()`` alone races the crash.  The chaos harness, when
     armed, SIGKILLs doomed attempts right after the marker: the parent
     sees exactly what a real mid-task OOM-kill produces.
+
+    Pool tasks carry their ``run()``'s ``run_token``.  A persistent pool
+    worker outlives ``run()``, so the first task of a new run drops the
+    models the worker trained for earlier runs: its model cache lives
+    one ``run()``.  Inline tasks pass no token and keep the parent's
+    cross-figure reuse.
     """
+    global _CACHE_RUN
+    if run_token is not None and run_token != _CACHE_RUN:
+        clear_model_cache()
+        _CACHE_RUN = run_token
     if spool is not None:
         try:
             open(os.path.join(spool, f"{index}.{attempt}"), "wb").close()
@@ -1517,6 +1535,7 @@ class ExperimentEngine:
         attempts = {i: 0 for i in pending}
         todo = set(pending)
         bus_dir = str(self.bus_dir) if self.bus_dir is not None else None
+        run_token = (os.getpid(), next(_RUN_TOKENS))
         spool = Path(tempfile.mkdtemp(prefix="repro-engine-spool-"))
         try:
             while todo:
@@ -1534,6 +1553,7 @@ class ExperimentEngine:
                                 self.chaos, str(spool), bus_dir,
                                 f"task-{i:04d}" if bus_dir else None,
                                 self._task_trace(i) if bus_dir else None,
+                                run_token,
                             )
                         except BrokenExecutor:
                             attempts[i] -= 1

@@ -4,7 +4,9 @@ Every layer implements:
 
 * ``forward(x, cache=True)`` — compute output; stash what backward needs.
 * ``backward(grad_out)`` — given dLoss/dOutput, accumulate parameter
-  gradients and return dLoss/dInput.
+  gradients and return dLoss/dInput.  :class:`Linear` can skip either:
+  ``params=False`` leaves the parameter gradients alone and
+  ``input_grad=False`` returns ``None``.
 * ``parameters()`` — trainable :class:`~repro.nn.network.Parameter` list.
 
 Shapes are always ``(batch, features)``; all math is vectorized over the
@@ -26,7 +28,9 @@ import numpy as np
 
 from repro.nn.init import he_uniform, uniform_init, xavier_uniform
 
-__all__ = ["Layer", "Linear", "ReLU", "Tanh", "Sigmoid", "make_activation"]
+__all__ = [
+    "Layer", "Linear", "ReLU", "Tanh", "Sigmoid", "make_activation", "sigmoid",
+]
 
 
 def _workspace(
@@ -40,6 +44,21 @@ def _workspace(
     if buf is None:
         buf = pool[n_rows] = np.empty((n_rows, n_cols), dtype=dtype)
     return buf
+
+
+def sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function of ``x``, written to ``out``.
+
+    With ``e = exp(-|x|)``: ``1 / (1 + e)`` where ``x >= 0`` and
+    ``e / (1 + e)`` where ``x < 0`` — the same per-element operations as
+    a split on sign, without boolean fancy indexing.  NaN stays NaN.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.where(x < 0, e, 1.0)  # before ``out`` may alias ``x``
+    np.add(1.0, e, out=out)
+    return np.divide(numerator, out, out=out)
 
 
 class Layer:
@@ -101,19 +120,27 @@ class Linear(Layer):
         out += self.bias.data
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self,
+        grad_out: np.ndarray,
+        params: bool = True,
+        input_grad: bool = True,
+    ) -> np.ndarray | None:
         if self._x is None:
             raise RuntimeError("backward called before a cached forward")
-        if self._grad_w is None:
-            self._grad_w = np.empty_like(self.weight.data)
-            self._grad_b = np.empty_like(self.bias.data)
-        np.matmul(self._x.T, grad_out, out=self._grad_w)
-        self.weight.grad += self._grad_w
-        # np.add.reduce is np.sum's kernel without the dispatch wrapper —
-        # same pairwise summation, so bit-identical, measurably cheaper
-        # at this call frequency.
-        np.add.reduce(grad_out, axis=0, out=self._grad_b)
-        self.bias.grad += self._grad_b
+        if params:
+            if self._grad_w is None:
+                self._grad_w = np.empty_like(self.weight.data)
+                self._grad_b = np.empty_like(self.bias.data)
+            np.matmul(self._x.T, grad_out, out=self._grad_w)
+            self.weight.grad += self._grad_w
+            # np.add.reduce is np.sum's kernel without the dispatch
+            # wrapper — same pairwise summation, so bit-identical,
+            # measurably cheaper at this call frequency.
+            np.add.reduce(grad_out, axis=0, out=self._grad_b)
+            self.bias.grad += self._grad_b
+        if not input_grad:
+            return None
         grad_in = _workspace(
             self._bwd, grad_out.shape[0], self.weight.data.shape[0]
         )
@@ -189,13 +216,8 @@ class Sigmoid(Layer):
         self._bwd2: dict[int, np.ndarray] = {}
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        # Numerically stable split on sign.
-        out = _workspace(self._fwd if cache else self._fwd_nc,
-                         x.shape[0], x.shape[1])
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        out = sigmoid(x, _workspace(self._fwd if cache else self._fwd_nc,
+                                    x.shape[0], x.shape[1]))
         if cache:
             self._out = out
         return out

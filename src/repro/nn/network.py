@@ -69,19 +69,34 @@ class Sequential:
 
     __call__ = forward
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self,
+        grad_out: np.ndarray,
+        params: bool = True,
+        input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Backpropagate ``grad_out`` (dLoss/dOutput); return dLoss/dInput.
 
         Parameter gradients are *accumulated*; call :meth:`zero_grad`
-        before each optimizer step.
+        before each optimizer step.  ``params=False`` skips them (a pass
+        that only routes dLoss/dInput, e.g. the actor step through a
+        critic); ``input_grad=False`` skips the first layer's input
+        gradient and returns ``None``.  What is still computed is
+        bit-identical to the full pass.
         """
         with _profile_phase("nn.backward"):
             grad = np.asarray(grad_out, dtype=np.float64)
             if grad.ndim == 1:
                 grad = grad[None, :]
-            for layer in reversed(self.layers):
-                grad = layer.backward(grad)
-            return grad
+            for i in range(len(self.layers) - 1, -1, -1):
+                layer, to_input = self.layers[i], input_grad or i > 0
+                if isinstance(layer, Linear):
+                    grad = layer.backward(
+                        grad, params=params, input_grad=to_input
+                    )
+                elif to_input:  # a parameter-free layer's only output
+                    grad = layer.backward(grad)
+            return grad if input_grad else None
 
     def parameters(self) -> list[Parameter]:
         params: list[Parameter] = []

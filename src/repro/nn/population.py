@@ -16,7 +16,7 @@ Two facts make this safe and bit-identical:
   with no refresh step;
 * numpy evaluates a stacked ``(N, R, in) @ (N, in, out)`` matmul
   slice-by-slice with the same kernel as the 2-D case, and the
-  elementwise activations (`maximum`, `tanh`, the sign-split sigmoid)
+  elementwise activations (`maximum`, `tanh`, the shared `sigmoid`)
   are value-wise functions — so row ``i`` of the stacked forward is
   bit-identical to network ``i``'s own ``forward(x_i, cache=False)``.
 
@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.layers import Linear, ReLU, Sigmoid, Tanh
+from repro.nn.layers import Linear, ReLU, Sigmoid, Tanh, sigmoid
 from repro.nn.network import Sequential
 
 __all__ = ["StackedSequential"]
@@ -117,13 +117,8 @@ class _StackedSigmoid:
         self._fwd: dict[int, np.ndarray] = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # Numerically stable split on sign, exactly as the scalar layer.
         out = _workspace3(self._fwd, x.shape[0], x.shape[1], x.shape[2])
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+        return sigmoid(x, out)
 
 
 _STACKED_ACTIVATIONS = {

@@ -69,13 +69,11 @@ class PrioritizedReplayBuffer:
         # Stratified sampling over the priority mass.
         bounds = np.linspace(0.0, total, batch_size + 1)
         targets = self._rng.uniform(bounds[:-1], bounds[1:])
-        indices = np.array(
-            [self._tree.find_prefix(v) for v in targets], dtype=np.intp
-        )
-        indices = np.minimum(indices, n - 1)
+        indices = self._tree.find_prefix_batch(targets)
+        np.minimum(indices, n - 1, out=indices)
 
         # Importance-sampling weights, normalized by the max weight.
-        probs = np.array([self._tree[i] for i in indices]) / max(total, 1e-12)
+        probs = self._tree.get_batch(indices) / max(total, 1e-12)
         probs = np.maximum(probs, 1e-12)
         weights = (n * probs) ** (-self.beta_is)
         weights /= weights.max()
@@ -99,8 +97,11 @@ class PrioritizedReplayBuffer:
         idx = np.asarray(indices, dtype=np.intp).ravel()
         if td.shape != idx.shape:
             raise ValueError("indices and td_errors must align")
-        for i, e in zip(idx, td):
-            self._tree.update(int(i), float((e + self.epsilon) ** self.alpha))
+        # One scalar power per element: numpy's array ``**`` may take a
+        # SIMD path that rounds differently from C ``pow``, and
+        # priorities are part of the bit-identical replay contract.
+        base = (td + self.epsilon).tolist()
+        self._tree.update_batch(idx, [b**self.alpha for b in base])
 
     def can_sample(self, batch_size: int) -> bool:
         return len(self) >= batch_size

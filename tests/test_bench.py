@@ -57,6 +57,7 @@ class TestRegistry:
             "td3.update",
             "rdper.push",
             "rdper.sample",
+            "per.sample",
             "twinq.accept",
             "codec.roundtrip",
             "cache.roundtrip",
@@ -257,6 +258,21 @@ class TestBenchCLI:
         ])
         assert rc == 0  # schema check ignores the slowdown
         assert "schemas OK" in capsys.readouterr().out
+
+    def test_compare_accepts_bench_missing_from_baseline(
+        self, tmp_path, capsys
+    ):
+        base = tmp_path / "base.json"
+        cand = tmp_path / "cand.json"
+        base.write_text(json.dumps(_doc([_result_record("a")])))
+        cand.write_text(json.dumps(_doc([
+            _result_record("a"), _result_record("per.sample"),
+        ])))
+        assert main([
+            "bench", "compare", str(cand), str(base), "--check-schema",
+        ]) == 0
+        assert main(["bench", "compare", str(cand), str(base)]) == 0
+        assert "per.sample" in capsys.readouterr().out
 
     def test_compare_bad_files_exit_2(self, tmp_path, capsys):
         good = tmp_path / "good.json"

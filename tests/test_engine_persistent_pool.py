@@ -1,24 +1,41 @@
 """Persistent engine worker pool: one pool serves every run() call,
 discarded only when a worker crash or deadline reap breaks it.
 
-The per-round rebuild the pool replaced was pure overhead — workers are
-stateless (tasks are pure functions of their spec), so the only reason
-to discard one is that it may hold a corpse after a crash.
+The per-round rebuild the pool replaced was pure overhead — tasks are
+pure functions of their spec, so the only reason to discard a pool is
+that it may hold a corpse after a crash.  The one state a worker keeps,
+its model cache, is scoped to one run().
 """
 
 from __future__ import annotations
 
 import gc
+import os
 
 import numpy as np
 import pytest
 
+from repro.experiments import common
 from repro.experiments.engine import (
     ExperimentEngine,
     TaskSpec,
     random_cdf_task,
+    task_kind,
 )
 from repro.faults import WorkerChaos
+
+
+@task_kind("pool-cache-probe")
+def _cache_probe(*, run: int, cell: int, seed=0):
+    """Cache a stand-in trained model for this cell, then report what
+    this worker's model cache holds."""
+    common._MODEL_CACHE[("probe", run, cell)] = object()
+    return {
+        "pid": os.getpid(),
+        "size": len(common._MODEL_CACHE),
+        "runs": sorted({key[1] for key in common._MODEL_CACHE
+                        if key[0] == "probe"}),
+    }
 
 
 def _cdf(seed, n=3):
@@ -81,3 +98,34 @@ def test_finalizer_shuts_pool_when_engine_is_collected():
     del eng
     gc.collect()
     assert holder.get("pool") is None
+
+
+def test_worker_model_cache_lives_one_run():
+    with ExperimentEngine(jobs=2) as eng:
+        pids = set()
+        for run in range(6):
+            probes = eng.run([
+                TaskSpec("pool-cache-probe", {"run": run, "cell": cell})
+                for cell in range(4)
+            ])
+            for probe in probes:
+                assert probe["pid"] != os.getpid()
+                assert probe["runs"] == [run]
+                assert probe["size"] <= 4
+            pids.update(probe["pid"] for probe in probes)
+        assert eng.stats.pool_rebuilds == 0
+    assert len(pids) <= 2
+
+
+def test_inline_engine_keeps_the_parent_model_cache():
+    key = ("probe", -1, 0)
+    common._MODEL_CACHE[key] = marker = object()
+    try:
+        ExperimentEngine(jobs=1).run([
+            TaskSpec("pool-cache-probe", {"run": 0, "cell": cell})
+            for cell in range(2)
+        ])
+        assert common._MODEL_CACHE[key] is marker
+    finally:
+        for k in [k for k in common._MODEL_CACHE if k[0] == "probe"]:
+            del common._MODEL_CACHE[k]
