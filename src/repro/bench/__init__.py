@@ -1,9 +1,14 @@
-"""Benchmark harness: registered micro/macro benchmarks, runner, gate.
+"""Micro-benchmark harness: registered benchmarks, runner, gate.
+
+The end-to-end benchmark of record is ``benchmarks/perf`` (offline
+training, online tuning, populations, the report grid).  This package
+times single hot operations, the layers an end-to-end run cannot
+separate:
 
 * :mod:`repro.bench.registry` — named benchmarks with lazy setup;
-* :mod:`repro.bench.benches` — the suite (simulator step, TD3 update,
-  RDPER push/sample, Twin-Q accept loop, codec round-trip, cache
-  round-trip, plus short offline-train / online-tune macros);
+* :mod:`repro.bench.benches` — the suite (simulator step and batch,
+  TD3 update, PER and RDPER sampling, Twin-Q accept loop, codec,
+  cache round-trip, telemetry sinks, population stepping);
 * :mod:`repro.bench.runner` — warmup + timed repetitions + allocation
   pass, emitting schema-versioned ``BENCH_*.json`` documents;
 * :mod:`repro.bench.compare` — median-based regression gating between

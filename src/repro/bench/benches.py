@@ -1,9 +1,11 @@
-"""The benchmark suite: hot-path micro-benchmarks + pipeline macros.
+"""The micro-benchmark suite: one hot operation per benchmark.
 
-Micro benchmarks isolate one hot operation each (the same regions the
-profiler's phases cover); macro benchmarks run a short but complete
-pipeline stage.  Everything is seeded, so two runs on the same machine
-measure the same work — the only variable is the code under test.
+Each benchmark isolates one hot operation (the same regions the
+profiler's phases cover) so a change can be pinned to a layer.  The
+end-to-end stages of the tuner, offline training and online tuning,
+are measured by ``benchmarks/perf`` instead.  Everything is seeded, so
+two runs on the same machine measure the same work — the only variable
+is the code under test.
 
 Setup cost (building environments, pre-training models, filling replay
 pools) happens in the factory, outside the timed region.  One repetition
@@ -30,7 +32,7 @@ def _make_env(seed: int = _SEED):
     return make_env("WC", "D1", seed=seed)
 
 
-def _trained_deepcat(iterations: int = 120):
+def _trained_deepcat(iterations: int):
     from repro.core.deepcat import DeepCAT
 
     env = _make_env()
@@ -57,10 +59,7 @@ def _fill_buffer(buffer, env, n: int) -> None:
         )
 
 
-# ------------------------------------------------------------------ micro
-
-
-@bench("sim.step", kind="micro", items=50,
+@bench("sim.step", items=50,
        description="simulator evaluation of one configuration")
 def _bench_sim_step():
     env = _make_env()
@@ -74,7 +73,7 @@ def _bench_sim_step():
     return run
 
 
-@bench("td3.update", kind="micro", items=25,
+@bench("td3.update", items=25,
        description="one TD3 gradient update on a fixed batch")
 def _bench_td3_update():
     from repro.core.deepcat import DeepCAT
@@ -91,7 +90,7 @@ def _bench_td3_update():
     return run
 
 
-@bench("rdper.push", kind="micro", items=2000,
+@bench("rdper.push", items=2000,
        description="RDPER transition routing into the dual pools")
 def _bench_rdper_push():
     from repro.replay.base import Transition
@@ -121,7 +120,7 @@ def _bench_rdper_push():
     return run
 
 
-@bench("rdper.sample", kind="micro", items=500,
+@bench("rdper.sample", items=500,
        description="RDPER dual-pool batch sampling (m=64)")
 def _bench_rdper_sample():
     from repro.replay.rdper import RewardDrivenReplayBuffer
@@ -142,7 +141,7 @@ def _bench_rdper_sample():
     return run
 
 
-@bench("per.sample", kind="micro", items=100,
+@bench("per.sample", items=100,
        description="TD-error PER sample(128) + priority refresh")
 def _bench_per_sample():
     from repro.replay.per import PrioritizedReplayBuffer
@@ -165,7 +164,7 @@ def _bench_per_sample():
     return run
 
 
-@bench("twinq.accept", kind="micro", items=20,
+@bench("twinq.accept", items=20,
        description="Twin-Q Optimizer accept loop on one recommendation")
 def _bench_twinq_accept():
     from repro.core.twinq import twin_q_optimize
@@ -190,7 +189,7 @@ def _bench_twinq_accept():
     return run
 
 
-@bench("codec.roundtrip", kind="micro", items=500,
+@bench("codec.roundtrip", items=500,
        description="configuration vector decode + dict encode round-trip")
 def _bench_codec_roundtrip():
     from repro.config.pipeline import build_pipeline_space
@@ -206,7 +205,7 @@ def _bench_codec_roundtrip():
     return run
 
 
-@bench("codec.batch", kind="micro", items=500,
+@bench("codec.batch", items=500,
        description="columnar decode_batch + encode_batch of 500 vectors")
 def _bench_codec_batch():
     from repro.config.pipeline import build_pipeline_space
@@ -221,7 +220,7 @@ def _bench_codec_batch():
     return run
 
 
-@bench("sim.batch", kind="micro", items=50,
+@bench("sim.batch", items=50,
        description="batched simulator evaluation of 50 configurations")
 def _bench_sim_batch():
     env = _make_env()
@@ -235,7 +234,7 @@ def _bench_sim_batch():
     return run
 
 
-@bench("rdper.sample_batch", kind="micro", items=200,
+@bench("rdper.sample_batch", items=200,
        description="RDPER allocation-free sampling at m=256")
 def _bench_rdper_sample_batch():
     from repro.replay.rdper import RewardDrivenReplayBuffer
@@ -256,7 +255,7 @@ def _bench_rdper_sample_batch():
     return run
 
 
-@bench("cache.roundtrip", kind="micro", items=50,
+@bench("cache.roundtrip", items=50,
        description="ResultCache store + load of one pickled session")
 def _bench_cache_roundtrip():
     from repro.experiments.engine import ResultCache, TaskSpec
@@ -279,7 +278,7 @@ def _bench_cache_roundtrip():
     return run, cleanup
 
 
-@bench("telemetry.diagnostics", kind="micro", items=1000,
+@bench("telemetry.diagnostics", items=1000,
        description="one full diagnostics observe cycle (step+update+rdper)")
 def _bench_diagnostics():
     from repro.telemetry.diagnostics import DiagnosticsEngine
@@ -306,7 +305,7 @@ def _bench_diagnostics():
     return run
 
 
-@bench("telemetry.ledger", kind="micro", items=1000,
+@bench("telemetry.ledger", items=1000,
        description="one streamed charge + counterfactual ledger cycle")
 def _bench_ledger():
     from repro.telemetry.ledger import CostLedger
@@ -338,81 +337,11 @@ def _bench_ledger():
     return run, cleanup
 
 
-# ------------------------------------------------------------------ macro
-
-
-@bench("pipeline.offline_train", kind="macro", items=80,
-       description="short offline training run (fresh model, 80 steps)")
-def _bench_offline_train():
-    from repro.core.deepcat import DeepCAT
-
-    def run() -> None:
-        env = _make_env()
-        tuner = DeepCAT.from_env(env, seed=_SEED)
-        tuner.train_offline(env, 80)
-
-    return run
-
-
-@bench("pipeline.online_tune", kind="macro", items=5,
-       description="5-step online tuning session from a pre-trained model")
-def _bench_online_tune():
-    import copy
-
-    tuner = _trained_deepcat(iterations=120)
-
-    def run() -> None:
-        env = _make_env(seed=_SEED + 7)
-        copy.deepcopy(tuner).tune_online(env, steps=5)
-
-    return run
-
-
-# ------------------------------------------------------- population
-
 _POP_N = 64
 _POP_STEPS = 5
 
-#: shard count for ``pipeline.population`` (set via ``bench run
-#: --shards``); 1 = the single-process lockstep
-_POP_SHARDS = 1
 
-
-def set_population_shards(shards: int) -> None:
-    """Route ``pipeline.population`` through ``shards`` worker processes
-    (1 restores the single-process lockstep).  The resulting record
-    carries ``shards`` plus the barrier/tail split so speedup numbers
-    are attributable."""
-    global _POP_SHARDS
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    _POP_SHARDS = shards
-
-
-def _population_tuner_proto():
-    """One trained DeepCAT to deep-copy per population member.
-
-    A small replay buffer keeps the per-member deepcopy cheap so the
-    timed region is dominated by stepping, not construction.
-    """
-    from repro.core.deepcat import DeepCAT
-
-    env = _make_env()
-    tuner = DeepCAT.from_env(env, seed=_SEED, buffer_capacity=512)
-    tuner.train_offline(env, 120)
-    return tuner
-
-
-def _population_members():
-    import copy
-
-    proto = _population_tuner_proto()
-    tuners = [copy.deepcopy(proto) for _ in range(_POP_N)]
-    envs = [_make_env(seed=_SEED + 7 + i) for i in range(_POP_N)]
-    return tuners, envs
-
-
-@bench("population.step", kind="micro", items=_POP_N * _POP_STEPS,
+@bench("population.step", items=_POP_N * _POP_STEPS,
        description="vectorized lockstep of 64 environments x 5 steps")
 def _bench_population_step():
     from repro.envs.population import VectorTuningEnv
@@ -428,58 +357,5 @@ def _bench_population_step():
     def run() -> None:
         for actions in action_mats:
             venv.step(actions)
-
-    return run
-
-
-@bench("pipeline.population", kind="macro", items=_POP_N * _POP_STEPS,
-       description="64 tuning sessions x 5 steps as one lockstep population")
-def _bench_pipeline_population():
-    from repro.core.population import PopulationTuner
-
-    shards = _POP_SHARDS
-    last: dict = {}
-
-    def run() -> None:
-        tuners, envs = _population_members()
-        if shards > 1:
-            from repro.parallel import ShardedPopulation
-
-            population = ShardedPopulation(
-                tuners, envs, shards=shards, fine_tune_updates=0
-            )
-            population.tune(steps=_POP_STEPS)
-            last["stats"] = population.stats
-        else:
-            PopulationTuner.from_deepcat(
-                tuners, envs, fine_tune_updates=0
-            ).tune(steps=_POP_STEPS)
-
-    def cleanup() -> None:
-        pass
-
-    def extras() -> dict:
-        stats = last.get("stats")
-        if stats is None:
-            return {"shards": 1}
-        # Timings are from the final repetition — the steady-state one.
-        return {
-            "shards": stats.shards,
-            "barrier_s": round(stats.barrier_s, 6),
-            "tail_s": round(stats.tail_s, 6),
-            "max_round_s": round(stats.max_round_s, 6),
-        }
-
-    return run, cleanup, extras
-
-
-@bench("pipeline.population_sequential", kind="macro",
-       items=_POP_N * _POP_STEPS,
-       description="the same 64 sessions x 5 steps as a sequential loop")
-def _bench_pipeline_population_sequential():
-    def run() -> None:
-        tuners, envs = _population_members()
-        for tuner, env in zip(tuners, envs):
-            tuner.tune_online(env, steps=_POP_STEPS, fine_tune_updates=0)
 
     return run

@@ -7,8 +7,8 @@ tight, reproducible regression from noise, but it never changes the
 verdict — thresholds belong in one knob, not a statistical model.
 
 Benchmarks present on only one side are reported but never fail the
-gate: the CI smoke run measures a micro-only subset against the full
-committed baseline, and a new benchmark has no baseline yet.
+gate: an ``--only`` run measures a subset of the committed baseline,
+and a new benchmark has no baseline entry yet.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class BenchDelta:
     """Comparison of one benchmark across the two documents."""
 
     name: str
-    kind: str
     baseline_median_s: float
     candidate_median_s: float
     ratio: float  # candidate / baseline; > 1 means slower
@@ -71,7 +70,6 @@ def compare_docs(
         deltas.append(
             BenchDelta(
                 name=name,
-                kind=c.get("kind", "?"),
                 baseline_median_s=b_med,
                 candidate_median_s=c_med,
                 ratio=ratio,

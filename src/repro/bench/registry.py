@@ -1,4 +1,4 @@
-"""Benchmark registry: named micro/macro benchmarks with lazy setup.
+"""Benchmark registry: named micro-benchmarks with lazy setup.
 
 A benchmark is a *factory*: calling it builds fresh state (environments,
 trained agents, temp directories — all excluded from timing) and returns
@@ -19,49 +19,32 @@ from typing import Callable
 
 __all__ = ["Benchmark", "bench", "get_benchmark", "iter_benchmarks"]
 
-#: factory return: one-repetition callable, optionally with a cleanup,
-#: optionally with an extras callable (-> dict merged into the result
-#: record after the timed repetitions, e.g. shard barrier/tail timings)
+#: factory return: one-repetition callable, optionally with a cleanup
 SetupResult = (
-    Callable[[], None]
-    | tuple[Callable[[], None], Callable[[], None]]
-    | tuple[Callable[[], None], Callable[[], None], Callable[[], dict]]
+    Callable[[], None] | tuple[Callable[[], None], Callable[[], None]]
 )
 
 
 @dataclass(frozen=True)
 class Benchmark:
     name: str
-    kind: str  # "micro" | "macro"
     items: int
     factory: Callable[[], SetupResult]
     description: str = ""
 
-    def setup(
-        self,
-    ) -> tuple[
-        Callable[[], None],
-        Callable[[], None] | None,
-        Callable[[], dict] | None,
-    ]:
-        """Build run state; returns ``(run, cleanup?, extras?)``."""
+    def setup(self) -> tuple[Callable[[], None], Callable[[], None] | None]:
+        """Build run state; returns ``(run, cleanup?)``."""
         built = self.factory()
         if isinstance(built, tuple):
-            if len(built) == 3:
-                run, cleanup, extras = built
-                return run, cleanup, extras
-            run, cleanup = built
-            return run, cleanup, None
-        return built, None, None
+            return built
+        return built, None
 
 
 _REGISTRY: dict[str, Benchmark] = {}
 
 
-def bench(name: str, kind: str, items: int, description: str = ""):
+def bench(name: str, items: int, description: str = ""):
     """Decorator registering a benchmark factory under ``name``."""
-    if kind not in ("micro", "macro"):
-        raise ValueError(f"kind must be 'micro' or 'macro', got {kind!r}")
     if items < 1:
         raise ValueError("items must be >= 1")
 
@@ -70,7 +53,6 @@ def bench(name: str, kind: str, items: int, description: str = ""):
             raise ValueError(f"benchmark {name!r} already registered")
         _REGISTRY[name] = Benchmark(
             name=name,
-            kind=kind,
             items=items,
             factory=factory,
             description=description or (factory.__doc__ or "").strip(),
@@ -95,12 +77,7 @@ def get_benchmark(name: str) -> Benchmark:
         raise KeyError(f"unknown benchmark {name!r} (known: {known})") from None
 
 
-def iter_benchmarks(kind: str | None = None) -> list[Benchmark]:
-    """All registered benchmarks (optionally filtered), in name order."""
+def iter_benchmarks() -> list[Benchmark]:
+    """All registered benchmarks, in name order."""
     _ensure_loaded()
-    out = [
-        b
-        for b in _REGISTRY.values()
-        if kind is None or b.kind == kind
-    ]
-    return sorted(out, key=lambda b: (b.kind, b.name))
+    return sorted(_REGISTRY.values(), key=lambda b: b.name)

@@ -61,7 +61,7 @@ def run_one(
     """Measure one benchmark; returns its result record."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    run, cleanup, extras = benchmark.setup()
+    run, cleanup = benchmark.setup()
     try:
         for _ in range(warmup):
             run()
@@ -87,9 +87,8 @@ def run_one(
 
     ordered = sorted(samples)
     median = _quantile(ordered, 0.5)
-    record = {
+    return {
         "name": benchmark.name,
-        "kind": benchmark.kind,
         "description": benchmark.description,
         "items": benchmark.items,
         "repetitions": repetitions,
@@ -104,44 +103,23 @@ def run_one(
         "alloc_peak_bytes": alloc_peak,
         "peak_rss_kb": peak_rss_kb(),
     }
-    if extras is not None:
-        # Factory-provided measurement extras (e.g. the sharded
-        # population's barrier/tail split) ride along in the record but
-        # may not shadow the schema's own fields.
-        for key, value in extras().items():
-            record.setdefault(key, value)
-    return record
 
 
 def run_benchmarks(
-    names: list[str] | None = None,
-    kind: str | None = None,
+    benchmarks: list[Benchmark] | None = None,
     repetitions: int = 5,
     warmup: int = 1,
     track_alloc: bool = True,
     progress=None,
-    extra_config: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Run a benchmark selection and return the bench document.
 
-    ``names`` selects specific benchmarks (default: all), ``kind``
-    filters to ``"micro"``/``"macro"``.  ``progress`` is an optional
-    ``callable(benchmark)`` invoked before each measurement.
-    ``extra_config`` entries (e.g. ``shards``) are merged into the
-    document's ``config`` block for provenance.
+    ``benchmarks`` selects specific benchmarks (default: all).
+    ``progress`` is an optional ``callable(benchmark)`` invoked before
+    each measurement.
     """
-    if names:
-        from repro.bench.registry import get_benchmark
-
-        selected = [get_benchmark(n) for n in names]
-        if kind is not None:
-            selected = [b for b in selected if b.kind == kind]
-    else:
-        selected = iter_benchmarks(kind=kind)
-    if not selected:
-        raise ValueError("benchmark selection is empty")
     results = []
-    for benchmark in selected:
+    for benchmark in benchmarks or iter_benchmarks():
         if progress is not None:
             progress(benchmark)
         results.append(
@@ -152,12 +130,11 @@ def run_benchmarks(
                 track_alloc=track_alloc,
             )
         )
-    config = {
-        "repetitions": repetitions,
-        "warmup": warmup,
-        "track_alloc": track_alloc,
-        "kind_filter": kind,
-    }
-    if extra_config:
-        config.update(extra_config)
-    return make_doc(results, config=config)
+    return make_doc(
+        results,
+        config={
+            "repetitions": repetitions,
+            "warmup": warmup,
+            "track_alloc": track_alloc,
+        },
+    )

@@ -28,9 +28,10 @@ __all__ = [
     "validate_doc",
 ]
 
-# v2 added host.blas_threads and config.shards so cross-host comparisons
-# carry the parallelism that produced the numbers; v1 files (no
-# multi-core provenance) remain loadable.
+# v2 added host.blas_threads so cross-host comparisons carry the
+# parallelism that produced the numbers; v1 files (no multi-core
+# provenance) remain loadable, as do records with fields this module
+# does not read (older files tag each record with a ``kind``).
 SCHEMA_VERSION = 2
 
 #: schema versions ``load_doc``/``validate_doc`` accept
@@ -39,7 +40,6 @@ ACCEPTED_VERSIONS = (1, 2)
 #: fields every result record must carry (validated on load)
 RESULT_FIELDS = (
     "name",
-    "kind",
     "items",
     "repetitions",
     "median_s",
@@ -107,11 +107,6 @@ def validate_doc(doc: Any) -> list[str]:
             if name in seen:
                 problems.append(f"duplicate benchmark name {name!r}")
             seen.add(name)
-        if rec.get("kind") not in ("micro", "macro"):
-            problems.append(
-                f"results[{i}] kind is {rec.get('kind')!r}, expected "
-                "'micro' or 'macro'"
-            )
     return problems
 
 

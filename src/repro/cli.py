@@ -40,7 +40,7 @@ _CLUSTERS = {"cluster-a": CLUSTER_A, "cluster-b": CLUSTER_B}
 #: conventional exit status for "terminated by SIGINT"
 _INTERRUPTED_RC = 130
 
-#: the committed regression-gate baseline (see tools/bench_baseline.py)
+#: the committed regression-gate baseline (``bench run --out`` rewrites it)
 BASELINE_BENCH_PATH = "benchmarks/baselines/BENCH_baseline.json"
 
 
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_bench = sub.add_parser(
-        "bench", help="performance benchmarks and regression gating"
+        "bench", help="micro-benchmarks and regression gating"
     )
     bench_sub = p_bench.add_subparsers(dest="bench_action", required=True)
 
@@ -350,22 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     pb_run.add_argument("--repetitions", type=int, default=5)
     pb_run.add_argument("--warmup", type=int, default=1)
     pb_run.add_argument(
-        "--kind", default=None, choices=("micro", "macro"),
-        help="run only this benchmark kind (default: all)",
-    )
-    pb_run.add_argument(
         "--only", action="append", default=[], metavar="NAME",
         help="run only the named benchmark (repeatable)",
     )
     pb_run.add_argument(
         "--no-alloc", action="store_true",
         help="skip the tracemalloc allocation pass",
-    )
-    pb_run.add_argument(
-        "--shards", type=int, default=1, metavar="K",
-        help="run pipeline.population across K shard processes "
-             "(default: 1 = single-process lockstep); recorded in the "
-             "document's config block",
     )
 
     pb_cmp = bench_sub.add_parser(
@@ -1363,6 +1353,7 @@ def _cmd_bench(args) -> int:
     from repro.bench import (
         DEFAULT_THRESHOLD,
         compare_docs,
+        get_benchmark,
         iter_benchmarks,
         load_doc,
         render_comparison,
@@ -1371,28 +1362,24 @@ def _cmd_bench(args) -> int:
 
     if args.bench_action == "list":
         for b in iter_benchmarks():
-            print(f"{b.kind:<6} {b.name:<24} x{b.items:<5} {b.description}")
+            print(f"{b.name:<24} x{b.items:<5} {b.description}")
         return 0
 
     if args.bench_action == "run":
         if args.repetitions < 1:
             print("bench run: --repetitions must be >= 1", file=sys.stderr)
             return 2
-        if args.shards < 1:
-            print("bench run: --shards must be >= 1", file=sys.stderr)
+        try:
+            selected = [get_benchmark(name) for name in args.only]
+        except KeyError as exc:
+            print(f"bench run: {exc.args[0]}", file=sys.stderr)
             return 2
-        if args.shards > 1:
-            from repro.bench import benches
-
-            benches.set_population_shards(args.shards)
         doc = run_benchmarks(
-            names=args.only or None,
-            kind=args.kind,
+            selected,
             repetitions=args.repetitions,
             warmup=args.warmup,
             track_alloc=not args.no_alloc,
             progress=lambda b: print(f"bench: {b.name} ...", flush=True),
-            extra_config={"shards": args.shards},
         )
         if args.out:
             out = args.out

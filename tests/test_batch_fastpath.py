@@ -7,9 +7,9 @@ Two contracts guard the batch fast paths:
   stepping, and the batched baselines — must produce byte-for-byte the
   same science as its scalar counterpart, including RNG stream order.
 * **Allocation budgets**: the hot update/sample paths reuse preallocated
-  workspaces; tracemalloc-enforced ceilings keep per-call allocations an
-  order of magnitude below the pre-vectorization peaks recorded in
-  ``benchmarks/baselines/BENCH_baseline.json``.
+  workspaces; tracemalloc-enforced ceilings keep per-call allocations
+  well below the pre-vectorization peaks in the allocation table of
+  ``docs/performance.md`` (Layer 3).
 """
 
 import sys

@@ -17,21 +17,37 @@ from repro.bench import (
 from repro.bench.registry import bench
 from repro.cli import main
 
+#: the whole suite; the end-to-end stages live in benchmarks/perf
+MICRO_SUITE = {
+    "cache.roundtrip",
+    "codec.batch",
+    "codec.roundtrip",
+    "per.sample",
+    "population.step",
+    "rdper.push",
+    "rdper.sample",
+    "rdper.sample_batch",
+    "sim.batch",
+    "sim.step",
+    "td3.update",
+    "telemetry.diagnostics",
+    "telemetry.ledger",
+    "twinq.accept",
+}
 
-def _fake_benchmark(name="fake.bench", kind="micro", items=10):
+
+def _fake_benchmark(name="fake.bench", items=10):
     return Benchmark(
         name=name,
-        kind=kind,
         items=items,
         factory=lambda: (lambda: sum(range(200))),
         description="synthetic",
     )
 
 
-def _result_record(name, kind="micro", median_s=0.01):
+def _result_record(name, median_s=0.01):
     return {
         "name": name,
-        "kind": kind,
         "items": 10,
         "repetitions": 3,
         "median_s": median_s,
@@ -47,43 +63,19 @@ def _doc(records):
 
 class TestRegistry:
     def test_suite_has_required_coverage(self):
-        micro = iter_benchmarks(kind="micro")
-        macro = iter_benchmarks(kind="macro")
-        assert len(micro) >= 6
-        assert len(macro) >= 2
-        names = {b.name for b in micro + macro}
-        assert {
-            "sim.step",
-            "td3.update",
-            "rdper.push",
-            "rdper.sample",
-            "per.sample",
-            "twinq.accept",
-            "codec.roundtrip",
-            "cache.roundtrip",
-            "pipeline.offline_train",
-            "pipeline.online_tune",
-        } <= names
+        assert {b.name for b in iter_benchmarks()} == MICRO_SUITE
 
-    def test_iter_sorted_and_filtered(self):
+    def test_iter_sorted(self):
         all_names = [b.name for b in iter_benchmarks()]
-        assert all_names == sorted(
-            all_names,
-            key=lambda n: next(
-                (b.kind, b.name) for b in iter_benchmarks() if b.name == n
-            ),
-        )
-        assert all(b.kind == "macro" for b in iter_benchmarks(kind="macro"))
+        assert all_names == sorted(all_names)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            bench("sim.step", kind="micro", items=1)(lambda: lambda: None)
+            bench("sim.step", items=1)(lambda: lambda: None)
 
-    def test_bad_kind_and_items_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            bench("x.bad", kind="nano", items=1)
+    def test_bad_items_rejected(self):
         with pytest.raises(ValueError, match="items"):
-            bench("x.bad", kind="micro", items=0)
+            bench("x.bad", items=0)
 
     def test_unknown_benchmark_lists_known(self):
         from repro.bench import get_benchmark
@@ -121,7 +113,7 @@ class TestRunner:
 
             return run, cleanup
 
-        b = Benchmark(name="c", kind="micro", items=1, factory=factory)
+        b = Benchmark(name="c", items=1, factory=factory)
         run_one(b, repetitions=2, warmup=1)
         # warmup + timed reps + allocation pass, one cleanup at the end
         assert calls == {"run": 4, "cleanup": 1}
@@ -133,7 +125,7 @@ class TestRunner:
 
 class TestSchema:
     def test_make_doc_is_valid(self):
-        doc = _doc([_result_record("a"), _result_record("b", kind="macro")])
+        doc = _doc([_result_record("a"), _result_record("b")])
         assert validate_doc(doc) == []
         assert doc["schema_version"] == 2
         assert "host" in doc and "created_at" in doc
@@ -144,6 +136,25 @@ class TestSchema:
         doc["schema_version"] = 1  # pre-multi-core baseline files
         assert validate_doc(doc) == []
 
+    @pytest.mark.parametrize(
+        "version, kinds", [(1, ("micro", "micro")), (2, ("micro", "macro"))]
+    )
+    def test_old_documents_load_and_compare(self, tmp_path, version, kinds):
+        # Files written while the suite had macros tag every record with
+        # a kind; they must stay readable and comparable.
+        records = [
+            dict(_result_record(name), kind=kind)
+            for name, kind in zip(("a", "old.macro"), kinds)
+        ]
+        doc = dict(_doc(records), schema_version=version)
+        path = tmp_path / "BENCH_old.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        old = load_doc(path)
+        cmp = compare_docs(_doc([_result_record("a")]), old)
+        assert cmp.ok
+        assert [d.name for d in cmp.deltas] == ["a"]
+        assert cmp.only_in_baseline == ["old.macro"]
+
     def test_validate_flags_problems(self):
         assert validate_doc("nope") == ["document is not a JSON object"]
         assert any(
@@ -152,8 +163,6 @@ class TestSchema:
         )
         doc = _doc([_result_record("a"), _result_record("a")])
         assert any("duplicate" in p for p in validate_doc(doc))
-        bad = _doc([_result_record("a", kind="nano")])
-        assert any("kind" in p for p in validate_doc(bad))
         incomplete = _doc([{"name": "a"}])
         assert any("missing" in p for p in validate_doc(incomplete))
 
@@ -215,8 +224,9 @@ class TestCompare:
 class TestBenchCLI:
     def test_list_shows_suite(self, capsys):
         assert main(["bench", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "sim.step" in out and "pipeline.online_tune" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert {line.split()[0] for line in lines} == MICRO_SUITE
+        assert len(lines) == len(MICRO_SUITE)
 
     def test_run_writes_valid_doc(self, tmp_path, capsys):
         out = tmp_path / "BENCH_dev.json"
@@ -236,6 +246,19 @@ class TestBenchCLI:
     def test_run_rejects_bad_repetitions(self, capsys):
         assert main(["bench", "run", "--repetitions", "0"]) == 2
         assert "repetitions" in capsys.readouterr().err
+
+    def test_run_rejects_unknown_benchmark(self, tmp_path, capsys):
+        # exit 2 (usage), not 1, which compare reserves for "regressed"
+        out = tmp_path / "BENCH_dev.json"
+        rc = main([
+            "bench", "run", "--out", str(out),
+            "--only", "codec.roundtrip", "--only", "no.such.bench",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bench run: unknown benchmark 'no.such.bench'" in err
+        assert "known: cache.roundtrip" in err
+        assert not out.exists()
 
     def test_compare_ok_and_regression_exit_codes(self, tmp_path):
         base = tmp_path / "base.json"

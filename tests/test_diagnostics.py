@@ -307,9 +307,9 @@ class TestDiagnosticsPurity:
 
 class TestOverheadGate:
     def test_observe_cycle_under_two_percent_of_online_step(self):
-        # The committed BENCH baseline puts the online.step median in
-        # the milliseconds; a full observe cycle must stay below 2% of
-        # a measured online step so diagnostics are always-on-safe.
+        # A full observe cycle must stay below 2% of an online step so
+        # diagnostics are always-on-safe.  The step is measured live,
+        # over a 4-step session that includes copying the model.
         env = make_env("TS", "D1", seed=5)
         tuner = DeepCAT.from_env(env, seed=5)
         tuner.train_offline(env, 60)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import copy
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -356,27 +355,18 @@ class TestExplainCli:
 
 
 class TestOverheadGate:
-    BASELINE = (
-        Path(__file__).resolve().parents[1]
-        / "benchmarks"
-        / "baselines"
-        / "BENCH_baseline.json"
-    )
+    #: Reference online step: the median of a 5-step tune_online from a
+    #: 120-iteration WC model, 15.925 ms / 5 steps, measured on a 1-vCPU
+    #: x86-64 host (the retired online-tune macro's last baseline entry).
+    #: A constant, not a live measurement: a warm in-process tune shrinks
+    #: to sub-millisecond and would make the budget track interpreter
+    #: cache state instead of ledger cost.
+    STEP_S = 3.185e-3
 
     def test_charge_cycle_under_two_percent_of_online_step(self, tmp_path):
         # Mirrors the diagnostics gate: a streamed charge+counterfactual
         # cycle must stay below 2% of an online step so --ledger is
-        # always-on-safe.  The step reference is the committed BENCH
-        # baseline's pipeline.online_tune figure, not a live measurement:
-        # a warm in-process tune shrinks to sub-millisecond and would
-        # make the budget track interpreter cache state instead of
-        # ledger cost.
-        doc = json.loads(self.BASELINE.read_text())
-        bench = next(
-            r for r in doc["results"] if r["name"] == "pipeline.online_tune"
-        )
-        step_s = bench["median_s"] / bench["items"]
-
+        # always-on-safe.
         led = CostLedger(tmp_path / "bench.ledger.jsonl")
         config = {f"knob.{i}": i for i in range(12)}
         # Best-of-5 batches: the streamed path flushes per entry, so a
@@ -397,7 +387,7 @@ class TestOverheadGate:
             batches.append((time.perf_counter() - t0) / n)
         cycle_s = min(batches)
         led.close()
-        assert cycle_s < 0.02 * step_s, (
+        assert cycle_s < 0.02 * self.STEP_S, (
             f"ledger cycle {cycle_s * 1e6:.1f}us exceeds 2% of "
-            f"online step {step_s * 1e3:.2f}ms"
+            f"online step {self.STEP_S * 1e3:.3f}ms"
         )
