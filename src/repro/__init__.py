@@ -17,7 +17,6 @@ Quickstart
 """
 
 from repro.baselines.cdbtune import CDBTune
-from repro.baselines.ottertune.tuner import OtterTune
 from repro.cluster.hardware import CLUSTER_A, CLUSTER_B
 from repro.config.pipeline import build_pipeline_space
 from repro.core.deepcat import DeepCAT
@@ -43,3 +42,13 @@ __all__ = [
     "RunManifest",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # OtterTune's GP and EI stages import scipy at module level (~1 s), so
+    # the class loads on first access (PEP 562), not with the package.
+    if name == "OtterTune":
+        from repro.baselines.ottertune.tuner import OtterTune
+
+        return OtterTune
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

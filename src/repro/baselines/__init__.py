@@ -10,10 +10,10 @@
   them).
 """
 
+import importlib
+
 from repro.baselines.bestconfig import BestConfigTuner
-from repro.baselines.bo import BayesOptTuner
 from repro.baselines.cdbtune import CDBTune
-from repro.baselines.ottertune.tuner import OtterTune
 from repro.baselines.random_search import RandomSearchTuner
 
 __all__ = [
@@ -23,3 +23,16 @@ __all__ = [
     "BestConfigTuner",
     "BayesOptTuner",
 ]
+
+# The GP tuners import scipy at module level (~1 s), so they load on first
+# access (PEP 562), not with the package.
+_GP_TUNERS = {
+    "OtterTune": "repro.baselines.ottertune.tuner",
+    "BayesOptTuner": "repro.baselines.bo",
+}
+
+
+def __getattr__(name: str):
+    if name in _GP_TUNERS:
+        return getattr(importlib.import_module(_GP_TUNERS[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("quick", "standard", "full"))
     p_rep.add_argument("--output", default="EXPERIMENTS.md")
     telemetry_flags(p_rep)
-    from repro.experiments.report import add_engine_arguments
+    from repro.experiments.engine import add_engine_arguments
 
     add_engine_arguments(p_rep)
 

@@ -13,12 +13,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.baselines.ottertune.tuner import OtterTune
 from repro.envs.tuning_env import TuningEnv
 from repro.sim.faults import FAILURE_PERF_FACTOR
+
+if TYPE_CHECKING:
+    from repro.baselines.ottertune.tuner import OtterTune
 
 __all__ = ["Corpus", "generate_corpus", "save_corpus", "load_corpus"]
 

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.baselines.cdbtune import CDBTune
-from repro.baselines.ottertune.tuner import OtterTune
 from repro.cluster.hardware import CLUSTER_A, ClusterSpec
 from repro.core.deepcat import DeepCAT
 from repro.core.result import OnlineSession
 from repro.factory import make_env
+
+if TYPE_CHECKING:
+    from repro.baselines.ottertune.tuner import OtterTune
 
 __all__ = [
     "ExperimentScale",
@@ -180,6 +183,11 @@ def train_ottertune(
     The total sample budget is split across the repository's corpus
     pairs (see :func:`_ottertune_corpus_pairs`).
     """
+    # Here, not at module level: OtterTune's GP and EI stages load scipy,
+    # so its ~1 s import lands in this offline stage and not in a timed
+    # recommendation or in processes that never run OtterTune.
+    from repro.baselines.ottertune.tuner import OtterTune
+
     sc = get_scale(scale)
     n = samples if samples is not None else sc.ottertune_samples
     key = ("ottertune", workload, dataset, seed, n, cluster.name)

@@ -45,6 +45,7 @@ harness exercising all of this lives in :class:`repro.faults.WorkerChaos`.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -99,6 +100,7 @@ __all__ = [
     "EngineTaskError",
     "render_failure_report",
     "ExperimentEngine",
+    "add_engine_arguments",
 ]
 
 #: Code-version salt folded into every cache key.  Bump whenever a change
@@ -1760,6 +1762,64 @@ class ExperimentEngine:
                           index=index)
         if self.cache is not None:
             self.cache.store(task, result)
+
+
+def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """The engine flags of ``repro report`` and
+    ``python -m repro.experiments.report``."""
+    parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes for the experiment grid (1 = serial, "
+             "bit-for-bit the historical code path)",
+    )
+    parser.add_argument(
+        "--cache-dir", default=".repro-cache", metavar="DIR",
+        help="on-disk result cache; repeated runs only recompute tasks "
+             "whose parameters or code salt changed",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the on-disk cache (always recompute)",
+    )
+    parser.add_argument(
+        "--bus-dir", default=None, metavar="DIR",
+        help="event-bus directory: stream per-worker heartbeats, "
+             "diagnostics alerts, and metrics snapshots to "
+             "DIR/task-NNNN.jsonl and merge them into DIR/timeline.jsonl",
+    )
+    parser.add_argument(
+        "--task-retries", type=int, default=2, metavar="N",
+        help="re-dispatch a failed, crashed, or timed-out task up to N "
+             "times before quarantining it (retries are bit-identical: "
+             "tasks are pure functions of their seeded parameters)",
+    )
+    parser.add_argument(
+        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        help="hard per-task deadline; hung workers are killed and the "
+             "task retried (default: 8x the per-kind duration EWMA, "
+             "floor 30s, once a kind has completed at least once)",
+    )
+    parser.add_argument(
+        "--lenient", action="store_true",
+        help="complete the grid with partial results when tasks fail "
+             "permanently (default strict: non-zero exit plus a ranked "
+             "failure report; completed cells stay cached either way)",
+    )
+    parser.add_argument(
+        "--failure-report", default=None, metavar="PATH",
+        help="write the JSON engine failure report here after the run "
+             "(written on success too, with healthy=true)",
+    )
+    parser.add_argument(
+        "--chaos-kill-rate", type=float, default=0.0, metavar="P",
+        help="chaos harness: SIGKILL the workers of roughly this "
+             "fraction of tasks on their first attempt (seeded, "
+             "deterministic; requires --jobs >= 2; CI soak only)",
+    )
+    parser.add_argument(
+        "--chaos-seed", type=int, default=0, metavar="N",
+        help="seed of the worker-kill schedule (--chaos-kill-rate)",
+    )
 
 
 #: module-private shared default used when callers pass ``engine=None``

@@ -62,7 +62,23 @@ def sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """Base class; stateless layers only override forward/backward."""
+    """Base class; stateless layers only override forward/backward.
+
+    ``_POOLS`` names a layer's workspace pools and ``_CACHES`` its other
+    scratch arrays: what a cached forward leaves for backward, and
+    :class:`Linear`'s gradient buffers.  All are written before they are
+    read, so pickles and deep copies carry them empty: a copied layer
+    starts like a fresh one and computes the same bits.
+    """
+
+    _POOLS: tuple[str, ...] = ()
+    _CACHES: tuple[str, ...] = ()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.update({name: {} for name in self._POOLS})
+        state.update({name: None for name in self._CACHES})
+        return state
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         raise NotImplementedError
@@ -76,6 +92,9 @@ class Layer:
 
 class Linear(Layer):
     """Affine layer ``y = x @ W + b``."""
+
+    _POOLS = ("_fwd", "_fwd_nc", "_bwd")
+    _CACHES = ("_x", "_grad_w", "_grad_b")
 
     def __init__(
         self,
@@ -152,6 +171,9 @@ class Linear(Layer):
 
 
 class ReLU(Layer):
+    _POOLS = ("_fwd", "_fwd_nc", "_masks", "_bwd")
+    _CACHES = ("_mask",)
+
     def __init__(self):
         self._mask: np.ndarray | None = None
         self._fwd: dict[int, np.ndarray] = {}
@@ -180,6 +202,9 @@ class ReLU(Layer):
 
 
 class Tanh(Layer):
+    _POOLS = ("_fwd", "_fwd_nc", "_bwd")
+    _CACHES = ("_out",)
+
     def __init__(self):
         self._out: np.ndarray | None = None
         self._fwd: dict[int, np.ndarray] = {}
@@ -208,6 +233,9 @@ class Tanh(Layer):
 
 
 class Sigmoid(Layer):
+    _POOLS = ("_fwd", "_fwd_nc", "_bwd", "_bwd2")
+    _CACHES = ("_out",)
+
     def __init__(self):
         self._out: np.ndarray | None = None
         self._fwd: dict[int, np.ndarray] = {}

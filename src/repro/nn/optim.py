@@ -75,6 +75,11 @@ class Adam:
         # allocating form.
         self._scratch: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
+    def __getstate__(self) -> dict:
+        # The scratch is written before it is read, so pickles and deep
+        # copies carry it empty.
+        return {**self.__dict__, "_scratch": {}}
+
     def _workspaces(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         ws = self._scratch.get(shape)
         if ws is None:

@@ -5,7 +5,9 @@ robustness counterpart of the engine's sharding invariants: interrupting
 a session must never change the science.
 """
 
+import lzma
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -15,13 +17,17 @@ from repro.core.deepcat import DeepCAT
 from repro.core.persistence import (
     CheckpointManager,
     load_checkpoint,
+    load_population_checkpoint,
     save_checkpoint,
 )
+from repro.core.population import PopulationTuner
 from repro.core.resilience import ResiliencePolicy
 from repro.core.result import sessions_equal
 from repro.factory import make_env
 
 FAST_HP = AgentHyperParams(batch_size=16, warmup_steps=8, hidden=(16, 16))
+SMALL_HP = AgentHyperParams(hidden=(8, 8), batch_size=16, warmup_steps=16)
+DATA = Path(__file__).parent / "data"
 
 
 class _DyingStep:
@@ -45,6 +51,87 @@ def _trained(seed=7):
     tuner = DeepCAT.from_env(env, seed=seed, hp=FAST_HP)
     tuner.train_offline(env, 40)
     return tuner
+
+
+def _small_trained(seed):
+    env = make_env("WC", "D1", seed=3)
+    tuner = DeepCAT.from_env(env, seed=seed, hp=SMALL_HP, buffer_capacity=64)
+    tuner.train_offline(env, 40)
+    return tuner
+
+
+def _hostile_env(seed):
+    return make_env("WC", "D1", seed=seed, fault_profile="hostile")
+
+
+def _unpacked(name, tmp_path):
+    path = tmp_path / name
+    path.write_bytes(lzma.decompress((DATA / f"{name}.xz").read_bytes()))
+    return path
+
+
+@pytest.mark.determinism
+class TestCheckpointsWithLayerScratch:
+    """Checkpoints whose tuners still pickle every layer's batch
+    workspaces and every Adam scratch pool resume bit-identically.
+
+    ``tests/data/{session,population}_with_scratch.ckpt.xz`` hold the
+    ``xz -9e`` bytes of the two files this wrote, with the layers and
+    optimizers of that time pickling their whole ``__dict__``::
+
+        tuner, env = _small_trained(7), _hostile_env(11)
+        res = ResiliencePolicy.default(seed=5)
+        tuner.tune_online(env, steps=3, resilience=res,
+                          checkpoint=CheckpointManager(
+                              "session_with_scratch.ckpt", tuner, env,
+                              resilience=res))
+
+        tuners = [_small_trained(7), _small_trained(8)]
+        envs = [_hostile_env(11), _hostile_env(12)]
+        ress = [ResiliencePolicy.default(seed=5),
+                ResiliencePolicy.default(seed=6)]
+        PopulationTuner.from_deepcat(tuners, envs, resiliences=ress).tune(
+            steps=3, checkpoint=PopulationCheckpointManager(
+                "population_with_scratch.ckpt", tuners, envs,
+                resiliences=ress))
+    """
+
+    STEPS = 6
+    SEEDS = ((7, 11, 5), (8, 12, 6))  # tuner, environment, resilience
+
+    def test_session_resumes_bit_identically(self, tmp_path):
+        ck = load_checkpoint(_unpacked("session_with_scratch.ckpt", tmp_path))
+        assert ck.next_step == 3
+        resumed = ck.tuner.tune_online(
+            ck.env, steps=self.STEPS, resilience=ck.resilience,
+            session=ck.session, start_step=ck.next_step,
+        )
+        full = _small_trained(7).tune_online(
+            _hostile_env(11), steps=self.STEPS,
+            resilience=ResiliencePolicy.default(seed=5),
+        )
+        assert len(resumed.steps) == self.STEPS
+        assert sessions_equal(resumed, full)
+
+    def test_population_resumes_bit_identically(self, tmp_path):
+        ck = load_population_checkpoint(
+            _unpacked("population_with_scratch.ckpt", tmp_path)
+        )
+        assert ck.next_steps == [3, 3]
+        resumed = PopulationTuner.from_deepcat(
+            ck.tuners, ck.envs, resiliences=ck.resiliences,
+            sessions=ck.sessions, start_steps=ck.next_steps,
+        ).tune(steps=self.STEPS)
+        full = PopulationTuner.from_deepcat(
+            [_small_trained(t) for t, _, _ in self.SEEDS],
+            [_hostile_env(e) for _, e, _ in self.SEEDS],
+            resiliences=[
+                ResiliencePolicy.default(seed=r) for _, _, r in self.SEEDS
+            ],
+        ).tune(steps=self.STEPS)
+        assert [len(s.steps) for s in resumed] == [self.STEPS] * 2
+        for a, b in zip(resumed, full):
+            assert sessions_equal(a, b)
 
 
 @pytest.mark.determinism
