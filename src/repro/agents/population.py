@@ -35,7 +35,7 @@ class PopulationTD3View:
     candidate count.
     """
 
-    def __init__(self, agents: Sequence, allocator=None):
+    def __init__(self, agents: Sequence):
         agents = list(agents)
         if not agents:
             raise ValueError("population needs at least one agent")
@@ -58,19 +58,9 @@ class PopulationTD3View:
         self.n = len(agents)
         self.state_dim = lead.state_dim
         self.action_dim = lead.action_dim
-        # Parameter blocks are allocated in this fixed order (actor,
-        # critic1, critic2; per Linear layer weight then bias) — the
-        # shared-memory arena plan in ``repro.parallel.sharding``
-        # depends on it.
-        self.actor = StackedSequential(
-            [a.actor for a in agents], allocator=allocator
-        )
-        self.critic1 = StackedSequential(
-            [a.critic1 for a in agents], allocator=allocator
-        )
-        self.critic2 = StackedSequential(
-            [a.critic2 for a in agents], allocator=allocator
-        )
+        self.actor = StackedSequential([a.actor for a in agents])
+        self.critic1 = StackedSequential([a.critic1 for a in agents])
+        self.critic2 = StackedSequential([a.critic2 for a in agents])
         # Pooled (n, rows, state+action) critic-input buffers, keyed by
         # candidate count — mirrors the scalar layers' workspace policy.
         self._x: dict[int, np.ndarray] = {}

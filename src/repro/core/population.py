@@ -110,12 +110,7 @@ class PopulationTuner:
     the enforcement.
     """
 
-    def __init__(
-        self,
-        members: Sequence[PopulationMember],
-        *,
-        param_allocator=None,
-    ):
+    def __init__(self, members: Sequence[PopulationMember]):
         members = list(members)
         if not members:
             raise ValueError("population needs at least one member")
@@ -137,9 +132,7 @@ class PopulationTuner:
         self.venv = VectorTuningEnv([m.env for m in members])
         from repro.agents.population import PopulationTD3View
 
-        self.view = PopulationTD3View(
-            [m.tuner.agent for m in members], allocator=param_allocator
-        )
+        self.view = PopulationTD3View([m.tuner.agent for m in members])
         n = len(members)
         self._states = np.zeros((n, self.view.state_dim))
         self._actions = np.zeros((n, self.view.action_dim))
@@ -163,7 +156,6 @@ class PopulationTuner:
         resiliences: Sequence[ResiliencePolicy | None] | None = None,
         sessions: Sequence[OnlineSession | None] | None = None,
         start_steps: Sequence[int] | None = None,
-        param_allocator=None,
     ) -> "PopulationTuner":
         """Build a population from :class:`~repro.core.deepcat.DeepCAT`
         instances, each member's :class:`OnlineTuner` built exactly as
@@ -198,7 +190,7 @@ class PopulationTuner:
                     start_step=start,
                 )
             )
-        return cls(members, param_allocator=param_allocator)
+        return cls(members)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -60,7 +60,7 @@ class _StackedLinear:
     and the stacked forward always see the same storage.
     """
 
-    def __init__(self, layers: Sequence[Linear], allocator=None):
+    def __init__(self, layers: Sequence[Linear]):
         shape = layers[0].weight.data.shape
         for lay in layers:
             if lay.weight.data.shape != shape:
@@ -69,15 +69,8 @@ class _StackedLinear:
                     f"!= {shape}"
                 )
         n = len(layers)
-        alloc = np.empty if allocator is None else allocator
-        self.w = alloc((n, *shape), dtype=np.float64)
-        self.b = alloc((n, 1, shape[1]), dtype=np.float64)
-        for arr, want in ((self.w, (n, *shape)), (self.b, (n, 1, shape[1]))):
-            if arr.shape != want or arr.dtype != np.float64:
-                raise ValueError(
-                    f"allocator returned {arr.shape} {arr.dtype}, "
-                    f"wanted {want} float64"
-                )
+        self.w = np.empty((n, *shape), dtype=np.float64)
+        self.b = np.empty((n, 1, shape[1]), dtype=np.float64)
         for i, lay in enumerate(layers):
             self.w[i] = lay.weight.data
             self.b[i, 0] = lay.bias.data
@@ -136,7 +129,7 @@ class StackedSequential:
     ``nets[i].forward(x[i], cache=False)`` bit-for-bit.
     """
 
-    def __init__(self, nets: Sequence[Sequential], allocator=None):
+    def __init__(self, nets: Sequence[Sequential]):
         nets = list(nets)
         if not nets:
             raise ValueError("need at least one network")
@@ -153,7 +146,7 @@ class StackedSequential:
             if any(type(lay) is not kind for lay in layers):
                 raise ValueError("networks must share an architecture")
             if kind is Linear:
-                self._ops.append(_StackedLinear(layers, allocator))
+                self._ops.append(_StackedLinear(layers))
             elif kind in _STACKED_ACTIVATIONS:
                 self._ops.append(_STACKED_ACTIVATIONS[kind]())
             else:

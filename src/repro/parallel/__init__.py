@@ -1,19 +1,15 @@
-"""Multi-core execution plane: shared memory, BLAS pinning, sharding.
+"""Multi-core execution plane: BLAS pinning and sharding.
 
-Three building blocks, each usable alone:
+Two building blocks, each usable alone:
 
-* :mod:`repro.parallel.shm` — named shared-memory segments planned as
-  64-byte-aligned float64 blocks, with owner/attacher lifecycle rules
-  that keep ``/dev/shm`` clean across crashes and signals;
 * :mod:`repro.parallel.pinning` — best-effort BLAS thread limiting
   (``threadpoolctl`` when available, ctypes OpenBLAS, environment
   variables) so K worker processes x 1 BLAS thread never oversubscribe
   the machine;
 * :mod:`repro.parallel.sharding` — :class:`ShardedPopulation`, the
   process-sharded population stepper: K long-lived workers each drive a
-  contiguous shard of members over shared-memory parameter blocks and
-  replay pools, synchronized by a per-round barrier, bit-identical to
-  the single-process lockstep.
+  contiguous shard of members held in their own memory, synchronized by
+  a per-round barrier, bit-identical to the single-process lockstep.
 """
 
 from repro.parallel.pinning import (
@@ -22,26 +18,14 @@ from repro.parallel.pinning import (
     limit_blas_threads,
     shard_plan,
 )
-from repro.parallel.shm import (
-    ArenaPlan,
-    BlockSpec,
-    ShmArena,
-    active_segments,
-    plan_blocks,
-)
 from repro.parallel.sharding import ShardCrash, ShardedPopulation, ShardStats
 
 __all__ = [
-    "ArenaPlan",
-    "BlockSpec",
     "ShardCrash",
     "ShardStats",
     "ShardedPopulation",
-    "ShmArena",
-    "active_segments",
     "blas_env",
     "effective_blas_threads",
     "limit_blas_threads",
-    "plan_blocks",
     "shard_plan",
 ]

@@ -1,4 +1,4 @@
-"""Process-sharded population stepping over shared memory.
+"""Process-sharded population stepping.
 
 :class:`ShardedPopulation` splits N population members into K contiguous
 shards (:func:`repro.parallel.pinning.shard_plan`) and hands each shard
@@ -9,18 +9,14 @@ parent drives one lockstep **round** at a time: it broadcasts
 barrier, so round ``step+1`` starts only after the slowest shard
 finished ``step`` everywhere, exactly like the single-process loop.
 
-Shared memory
--------------
-Each shard's stacked parameter tensors *and* replay-ring arrays live in
-one ``multiprocessing.shared_memory`` segment, planned identically on
-both sides (:func:`population_block_plan` + the deterministic block
-order of :class:`~repro.agents.population.PopulationTD3View`).  The
-worker's in-place fine-tune updates therefore write straight through to
-pages the parent can map read-only (``ShardedPopulation.shard_arena``)
-— no per-round parameter shipping.  The parent owns every segment and
-unlinks it in ``_shutdown`` no matter how a worker died, so ``/dev/shm``
-stays clean across SIGTERM, SIGKILL, and crashes (gated by the shm
-lifecycle tests).
+Member state
+------------
+A worker keeps its members in its own heap, as the single-process
+``PopulationTuner`` does.  Members travel by pickle three times: to the
+worker at spawn, back to the parent at each checkpoint (and the final
+interrupt snapshot), and back at finish.  Rounds ship only per-member
+step events.  ``_shutdown`` stops and joins every worker that started,
+whatever ended the run (SIGTERM, a SIGKILLed worker, a failed spawn).
 
 Bit-identity
 ------------
@@ -52,16 +48,9 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.parallel.pinning import limit_blas_threads, shard_plan
-from repro.parallel.shm import ArenaPlan, ShmArena, plan_blocks
 
-__all__ = [
-    "ShardCrash",
-    "ShardStats",
-    "ShardedPopulation",
-    "population_block_plan",
-]
+__all__ = ["ShardCrash", "ShardStats", "ShardedPopulation"]
 
-_RING_ARRAYS = ("_states", "_actions", "_rewards", "_next_states")
 _JOIN_S = 5.0
 _POLL_S = 0.1
 
@@ -77,73 +66,16 @@ class ShardStats:
     ``barrier_s`` is synchronization overhead: parent time spent per
     round beyond the slowest shard's own compute (send/recv + waiting
     for stragglers).  ``tail_s`` is the parent's post-barrier scalar
-    work (event re-emission, checkpoint snapshots).  ``max_round_s`` is
-    the slowest single round — the number the heartbeat derives its
-    staleness threshold from.
+    work (event re-emission, checkpoint snapshots).  ``round_s`` holds
+    each stepped round's wall clock.  The heartbeat does not read these
+    stats: it takes ``round_s`` from each ``population-round`` event.
     """
 
     shards: int = 0
     rounds: int = 0
     barrier_s: float = 0.0
     tail_s: float = 0.0
-    max_round_s: float = 0.0
-    sum_round_s: float = 0.0
     round_s: list = field(default_factory=list)
-
-
-def _rings(buffer) -> list[tuple[str, object]]:
-    """Named :class:`~repro.replay.base.RingStorage` instances inside a
-    replay buffer, in a fixed probe order shared by parent and worker."""
-    if buffer is None:
-        return []
-    rings = []
-    for attr in ("_high", "_low", "_storage", "_ring"):
-        storage = getattr(buffer, attr, None)
-        if storage is not None and hasattr(storage, "_states"):
-            rings.append((attr, storage))
-    return rings
-
-
-def population_block_plan(tuners) -> ArenaPlan:
-    """The shared-memory layout for one shard's slice of DeepCAT tuners.
-
-    Parameter blocks come first, in exactly the order
-    ``PopulationTD3View`` allocates them (actor, critic1, critic2; per
-    Linear layer weight then bias) so the arena's sequential allocator
-    lines up with the stacked adoption.  Replay-ring arrays follow as
-    named blocks, one set per member.
-    """
-    from repro.nn.layers import Linear
-
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    n = len(tuners)
-    lead = tuners[0].agent
-    k = 0
-    for net_name in ("actor", "critic1", "critic2"):
-        for lay in getattr(lead, net_name).layers:
-            if isinstance(lay, Linear):
-                w_shape = lay.weight.data.shape
-                shapes.append((f"param{k}.w", (n, *w_shape)))
-                shapes.append((f"param{k}.b", (n, 1, w_shape[1])))
-                k += 1
-    for mi, dc in enumerate(tuners):
-        for ring_name, storage in _rings(dc.buffer):
-            for arr_name in _RING_ARRAYS:
-                arr = getattr(storage, arr_name)
-                shapes.append((f"m{mi}.{ring_name}{arr_name}", arr.shape))
-    return plan_blocks(shapes)
-
-
-def _adopt_rings(tuners, arena: ShmArena) -> None:
-    """Move each member's replay-ring arrays into the arena (copy once,
-    then rebind) so pushes/samples write through shared memory."""
-    for mi, dc in enumerate(tuners):
-        for ring_name, storage in _rings(dc.buffer):
-            for arr_name in _RING_ARRAYS:
-                view = arena.view(f"m{mi}.{ring_name}{arr_name}")
-                src = getattr(storage, arr_name)
-                view[...] = src
-                setattr(storage, arr_name, view)
 
 
 def _step_events(members, lo: int, before: list[int]) -> list[dict]:
@@ -198,8 +130,7 @@ def _snapshot_bytes(payload, members) -> bytes:
 
 
 def _shard_worker_main(
-    conn, payload_bytes: bytes, plan: ArenaPlan, shm_name: str,
-    blas_threads: int, lo: int, steps: int,
+    conn, payload_bytes: bytes, blas_threads: int, lo: int, steps: int,
 ) -> None:
     """Entry point of one shard worker (spawn start method).
 
@@ -209,7 +140,7 @@ def _shard_worker_main(
       events)``;
     * ``("snapshot",)`` → ``("snapshot", bytes)``;
     * ``("finish", time_budget_s)`` → ``("done", snapshot_bytes)``;
-    * ``("stop",)`` → worker closes its arena mapping and exits.
+    * ``("stop",)`` → worker exits.
 
     SIGINT is ignored so a Ctrl-C in the parent's terminal (delivered to
     the whole process group) cannot kill a worker mid-write; the parent
@@ -219,10 +150,8 @@ def _shard_worker_main(
     limit_blas_threads(blas_threads)
     from repro.core.population import PopulationTuner
 
-    arena = None
     try:
         payload = pickle.loads(payload_bytes)
-        arena = ShmArena.attach(shm_name, plan)
         pop = PopulationTuner.from_deepcat(
             payload["tuners"],
             payload["envs"],
@@ -231,9 +160,7 @@ def _shard_worker_main(
             resiliences=payload["resiliences"],
             sessions=payload["sessions"],
             start_steps=payload["start_steps"],
-            param_allocator=arena.sequential_allocator(),
         )
-        _adopt_rings(payload["tuners"], arena)
         pop.begin(steps)
         conn.send(("ready", len(pop)))
         while True:
@@ -265,8 +192,6 @@ def _shard_worker_main(
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - parent gone
         pass
     finally:
-        if arena is not None:
-            arena.close()
         conn.close()
 
 
@@ -277,7 +202,6 @@ class _Shard:
     hi: int
     process: mp.Process
     conn: object
-    arena: ShmArena
 
 
 class ShardedPopulation:
@@ -345,11 +269,6 @@ class ShardedPopulation:
     def shards(self) -> int:
         return len(self.shard_ranges)
 
-    def shard_arena(self, index: int) -> ShmArena:
-        """The parent's mapping of shard ``index``'s segment (live views
-        of the worker's stacked parameters and replay rings)."""
-        return self._shards[index].arena
-
     # ------------------------------------------------------------ lifecycle
 
     def _spawn(self, steps: int) -> None:
@@ -357,8 +276,6 @@ class ShardedPopulation:
 
         ctx = mp.get_context("spawn")
         for s, (lo, hi) in enumerate(self.shard_ranges):
-            plan = population_block_plan(self.tuners[lo:hi])
-            arena = ShmArena.create(plan)
             with ExitStack() as stack:
                 for dc, env in zip(self.tuners[lo:hi], self.envs[lo:hi]):
                     stack.enter_context(_telemetry_detached(dc, env))
@@ -377,18 +294,14 @@ class ShardedPopulation:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_shard_worker_main,
-                args=(
-                    child_conn, payload_bytes, plan, arena.name,
-                    self.blas_threads, lo, steps,
-                ),
+                args=(child_conn, payload_bytes, self.blas_threads, lo, steps),
                 name=f"repro-shard-{s}",
                 daemon=True,
             )
             proc.start()
             child_conn.close()
             self._shards.append(
-                _Shard(index=s, lo=lo, hi=hi, process=proc,
-                       conn=parent_conn, arena=arena)
+                _Shard(index=s, lo=lo, hi=hi, process=proc, conn=parent_conn)
             )
         for sh in self._shards:
             kind, count = self._recv(sh)
@@ -435,8 +348,8 @@ class ShardedPopulation:
                 raise TimeoutError(f"shard {sh.index} reply timed out")
 
     def _shutdown(self) -> None:
-        """Stop workers and unlink every segment; safe to call twice and
-        after any failure mode (the shm leak tests exercise this)."""
+        """Stop and join every started worker; safe to call twice and
+        after any failure mode (the reaping tests exercise this)."""
         for sh in self._shards:
             try:
                 if sh.process.is_alive():
@@ -452,7 +365,6 @@ class ShardedPopulation:
                 sh.conn.close()
             except OSError:  # pragma: no cover
                 pass
-            sh.arena.unlink()
         self._shards = []
 
     # ----------------------------------------------------------------- tune
@@ -470,8 +382,18 @@ class ShardedPopulation:
         if self._ran:
             raise RuntimeError("this population already ran")
         self._ran = True
+        try:
+            self._spawn(steps)
+            self._run_rounds(steps, time_budget_s, checkpoint)
+        finally:
+            self._shutdown()
+        return self.sessions
+
+    def _run_rounds(self, steps: int, time_budget_s, checkpoint) -> None:
+        """Drive the spawned fleet through its rounds and finish; on
+        ``KeyboardInterrupt`` drain the in-flight round and snapshot
+        every worker into ``checkpoint`` before re-raising."""
         t = self.telemetry
-        self._spawn(steps)
         inflight: list[_Shard] = []
         try:
             with t.phase("population.tune"), t.span(
@@ -493,11 +415,7 @@ class ShardedPopulation:
                     stepped = any(s == "stepped" for s in statuses)
                     if stepped:
                         self.stats.rounds += 1
-                        self.stats.sum_round_s += round_wall
                         self.stats.round_s.append(round_wall)
-                        self.stats.max_round_s = max(
-                            self.stats.max_round_s, round_wall
-                        )
                         self.stats.barrier_s += max(
                             0.0, round_wall - slowest
                         )
@@ -521,9 +439,6 @@ class ShardedPopulation:
                 except ShardCrash:  # pragma: no cover - race with kill
                     pass
             raise
-        finally:
-            self._shutdown()
-        return self.sessions
 
     def _drain(self, inflight: list[_Shard]) -> None:
         """Absorb replies of a round interrupted mid-barrier, so worker

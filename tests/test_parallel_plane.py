@@ -1,5 +1,5 @@
-"""Multi-core execution plane primitives: shard planning, shared-memory
-arenas, and BLAS pinning.
+"""Multi-core execution plane primitives: shard planning and BLAS
+pinning.
 
 These are the process-free contracts — everything here runs in one
 process.  The cross-process behaviour (worker stepping, bit-identity,
@@ -8,16 +8,12 @@ crash handling) lives in ``test_sharded_population.py``.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.parallel import (
-    ShmArena,
-    active_segments,
     blas_env,
     effective_blas_threads,
     limit_blas_threads,
-    plan_blocks,
     shard_plan,
 )
 from repro.parallel.pinning import _BLAS_ENV_VARS
@@ -52,87 +48,6 @@ class TestShardPlan:
             shard_plan(0, 2)
         with pytest.raises(ValueError):
             shard_plan(4, 0)
-
-
-class TestArenaPlan:
-    def test_blocks_are_aligned_and_disjoint(self):
-        plan = plan_blocks([("a", (3, 5)), ("b", (2,)), ("c", (1, 1, 7))])
-        end = 0
-        for blk in plan.blocks:
-            assert blk.offset % 64 == 0
-            assert blk.offset >= end
-            end = blk.offset + blk.nbytes
-        assert plan.size >= end
-
-    def test_nbytes_is_float64(self):
-        plan = plan_blocks([("a", (4, 8))])
-        assert plan.block("a").nbytes == 4 * 8 * 8
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            plan_blocks([("a", (2,)), ("a", (3,))])
-
-    def test_unknown_block_raises(self):
-        plan = plan_blocks([("a", (2,))])
-        with pytest.raises(KeyError):
-            plan.block("nope")
-
-
-class TestShmArena:
-    def test_write_through_between_mappings(self):
-        plan = plan_blocks([("x", (4, 3)), ("y", (2,))])
-        with ShmArena.create(plan) as arena:
-            other = ShmArena.attach(arena.name, plan)
-            try:
-                arena.view("x")[:] = 1.5
-                np.testing.assert_array_equal(
-                    other.view("x"), np.full((4, 3), 1.5)
-                )
-                other.view("y")[:] = [7.0, 8.0]
-                np.testing.assert_array_equal(arena.view("y"), [7.0, 8.0])
-            finally:
-                other.close()
-        assert active_segments() == []
-
-    def test_only_owner_may_unlink(self):
-        plan = plan_blocks([("x", (2,))])
-        with ShmArena.create(plan) as arena:
-            other = ShmArena.attach(arena.name, plan)
-            with pytest.raises(RuntimeError, match="owner"):
-                other.unlink()
-            other.close()
-
-    def test_segment_visible_while_alive_gone_after(self):
-        plan = plan_blocks([("x", (2,))])
-        arena = ShmArena.create(plan)
-        assert arena.name in active_segments()
-        arena.unlink()
-        assert arena.name not in active_segments()
-
-    def test_view_after_close_raises(self):
-        plan = plan_blocks([("x", (2,))])
-        arena = ShmArena.create(plan)
-        arena.unlink()
-        with pytest.raises(RuntimeError, match="closed"):
-            arena.view("x")
-
-    def test_sequential_allocator_serves_plan_order(self):
-        plan = plan_blocks([("a", (2, 3)), ("b", (4,))])
-        with ShmArena.create(plan) as arena:
-            alloc = arena.sequential_allocator()
-            a = alloc((2, 3), dtype=np.float64)
-            b = alloc((4,), dtype=np.float64)
-            a[:] = 2.0
-            np.testing.assert_array_equal(arena.view("a"), np.full((2, 3), 2.0))
-            b[:] = 3.0
-            np.testing.assert_array_equal(arena.view("b"), np.full(4, 3.0))
-
-    def test_sequential_allocator_rejects_plan_mismatch(self):
-        plan = plan_blocks([("a", (2, 3))])
-        with ShmArena.create(plan) as arena:
-            alloc = arena.sequential_allocator()
-            with pytest.raises(ValueError, match="mismatch"):
-                alloc((9, 9), dtype=np.float64)
 
 
 class TestPinning:

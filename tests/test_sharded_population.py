@@ -9,16 +9,20 @@ Contracts, all at CLI or public-API level:
 * a checkpoint taken under ``--shards K`` resumes bit-identically at any
   other shard count;
 * SIGTERM mid-round checkpoints at a clean step boundary and leaves no
-  ``/dev/shm`` segment behind;
+  worker process behind;
 * a SIGKILLed worker surfaces as :class:`ShardCrash`, never a hang, and
-  still leaves ``/dev/shm`` clean.
+  the other workers are still stopped and joined;
+* a spawn that fails part-way still stops and joins the workers that
+  started.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import shutil
 import signal
+import threading
 
 import pytest
 
@@ -29,7 +33,7 @@ from repro.core.persistence import (
 )
 from repro.core.population import population_seed_plan
 from repro.core.result import sessions_equal
-from repro.parallel import ShardCrash, ShardedPopulation, active_segments
+from repro.parallel import ShardCrash, ShardedPopulation
 from repro.parallel.sharding import ShardedPopulation as _SP
 
 N = 4
@@ -67,7 +71,7 @@ def unsharded_ckpt(model, tmp_path_factory):
 def sharded_ckpt(model, tmp_path_factory):
     ckpt = str(tmp_path_factory.mktemp("shard") / "pop.ckpt")
     assert _tune(model, ckpt, shards=2) == 0
-    assert active_segments() == [], "sharded run leaked /dev/shm segments"
+    assert multiprocessing.active_children() == [], "sharded run left workers"
     return ckpt
 
 
@@ -89,7 +93,7 @@ def test_uneven_shards_match(model, tmp_path, unsharded_ckpt):
     unsharded = load_population_checkpoint(unsharded_ckpt)
     for a, b in zip(sharded.sessions, unsharded.sessions):
         assert sessions_equal(a, b)
-    assert active_segments() == []
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.determinism
@@ -133,7 +137,9 @@ def test_sigterm_then_resume_at_any_shard_count(
     monkeypatch.setattr(_SP, "_emit_round", original)
     assert rc == 130
     assert "checkpointed" in capsys.readouterr().out
-    assert active_segments() == [], "interrupted run leaked /dev/shm"
+    assert multiprocessing.active_children() == [], (
+        "interrupted run left workers"
+    )
     killed = load_population_checkpoint(ckpt)
     assert killed.next_steps == [2] * N
 
@@ -154,7 +160,7 @@ def test_sigterm_then_resume_at_any_shard_count(
     resumed_seq = load_population_checkpoint(ckpt_seq)
     for a, b in zip(resumed_seq.sessions, full.sessions):
         assert sessions_equal(a, b)
-    assert active_segments() == []
+    assert multiprocessing.active_children() == []
 
 
 def _members(n):
@@ -171,7 +177,7 @@ def _members(n):
 
 def test_worker_sigkill_raises_shard_crash(monkeypatch):
     """A SIGKILLed worker must surface as ShardCrash on the next round,
-    and the teardown still unlinks every segment."""
+    and the teardown still joins every worker."""
     calls = {"n": 0}
     original = _SP._emit_round
 
@@ -189,7 +195,20 @@ def test_worker_sigkill_raises_shard_crash(monkeypatch):
     )
     with pytest.raises(ShardCrash, match="shard 0"):
         population.tune(steps=STEPS)
-    assert active_segments() == [], "crashed run leaked /dev/shm"
+    assert multiprocessing.active_children() == [], "crashed run left workers"
+
+
+def test_failed_spawn_reaps_started_workers():
+    """A member that cannot be pickled fails the spawn after shard 0's
+    worker started; tune() must still stop and join that worker."""
+    tuners, envs = _members(2)
+    tuners[1].lock = threading.Lock()
+    population = ShardedPopulation(
+        tuners, envs, shards=2, fine_tune_updates=1
+    )
+    with pytest.raises(TypeError):
+        population.tune(steps=1)
+    assert multiprocessing.active_children() == []
 
 
 def test_population_reuse_rejected():
