@@ -19,6 +19,7 @@ from repro.cluster.hardware import CLUSTER_A
 from repro.config import build_pipeline_space
 from repro.core.online import OnlineTuner
 from repro.envs.dynamic import DynamicTuningEnv, Phase
+from repro.telemetry import RunContext
 from repro.utils.logging import JsonlLogger
 
 PHASES = [Phase("TS", "D1", 5), Phase("PR", "D1", 5), Phase("KM", "D1", 5)]
@@ -44,7 +45,7 @@ def main() -> None:
         name="DeepCAT",
         use_twin_q=True,
         q_threshold=tuner.q_threshold,
-        logger=logger,
+        telemetry=RunContext(logger=logger),
     )
     total_steps = sum(p.steps for p in PHASES)
     print(f"serving one continuous {total_steps}-step session (TS->PR->KM):")

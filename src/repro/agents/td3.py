@@ -116,10 +116,6 @@ class TD3Agent:
 
     def update(self, batch: ReplayBatch) -> dict[str, float]:
         """One TD3 update; the actor moves every ``policy_delay`` calls."""
-        with self.telemetry.phase("agent.update"):
-            return self._update(batch)
-
-    def _update(self, batch: ReplayBatch) -> dict[str, float]:
         m = len(batch)
         y = self._target_q(batch)
         x = critic_input(batch.states, batch.actions)

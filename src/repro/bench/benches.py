@@ -1,11 +1,11 @@
 """The micro-benchmark suite: one hot operation per benchmark.
 
-Each benchmark isolates one hot operation (the same regions the
-profiler's phases cover) so a change can be pinned to a layer.  The
-end-to-end stages of the tuner, offline training and online tuning,
-are measured by ``benchmarks/perf`` instead.  Everything is seeded, so
-two runs on the same machine measure the same work — the only variable
-is the code under test.
+Each benchmark isolates one hot operation (the same layers
+``benchmarks/perf --trace`` attributes time to) so a change can be
+pinned to a layer.  The end-to-end stages of the tuner, offline
+training and online tuning, are measured by ``benchmarks/perf``
+instead.  Everything is seeded, so two runs on the same machine measure
+the same work — the only variable is the code under test.
 
 Setup cost (building environments, pre-training models, filling replay
 pools) happens in the factory, outside the timed region.  One repetition

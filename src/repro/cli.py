@@ -117,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         """Profiling/heartbeat flags for the long-running run commands."""
         p.add_argument(
             "--profile", action="store_true",
-            help="profile the run: per-phase timing report plus a "
-                 "cProfile capture (pstats dump + hotspot table)",
+            help="profile the run with cProfile: write a pstats dump and "
+                 "print the top-15 functions by cumulative time",
         )
         p.add_argument(
             "--profile-out", default=None, metavar="PATH",
@@ -198,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tune.add_argument(
         "--shards", type=int, default=1, metavar="K",
-        help="step the population across K worker processes over shared "
-             "memory (requires --population or a population checkpoint); "
+        help="step the population across K spawned worker processes "
+             "(requires --population or a population checkpoint); "
              "results are bit-identical to --shards 1",
     )
     p_tune.add_argument(
@@ -421,27 +421,18 @@ def _run_logger(args, total_steps: int | None):
     return events or heartbeat
 
 
-def _run_profiler(args):
-    """A cProfile-capable profiler when --profile[-out] is set, else None."""
-    if getattr(args, "profile", False) or getattr(args, "profile_out", None):
-        from repro.telemetry import Profiler
-
-        return Profiler(cprofile=True)
-    return None
-
-
 def _telemetry_context(args, kind: str, total_steps: int | None = None):
     """Build a RunContext from the --trace/--metrics-out/... flags.
 
     Returns the shared null context when no flag is set, so the default
-    CLI path stays on the telemetry-free fast path.  ``--profile`` and
-    ``--heartbeat`` ride on the same context: profiling-only runs get a
-    plain context (no recording pillars, nothing extra written).
+    CLI path stays on the telemetry-free fast path.  Without
+    ``--trace``/``--metrics-out``/``--manifest``, the ``--events``,
+    ``--heartbeat``, ``--diagnostics`` and ``--ledger`` flags get a plain
+    context with only their own pillars live.
     """
     from repro.telemetry import NULL_CONTEXT, RunContext
 
     logger = _run_logger(args, total_steps)
-    profiler = _run_profiler(args)
     diagnostics = None
     if getattr(args, "diagnostics", False):
         from repro.telemetry import DiagnosticsEngine
@@ -453,16 +444,10 @@ def _telemetry_context(args, kind: str, total_steps: int | None = None):
 
         ledger = CostLedger(args.ledger)
     if not (args.trace or args.metrics_out or args.manifest):
-        if (
-            logger is None
-            and profiler is None
-            and diagnostics is None
-            and ledger is None
-        ):
+        if logger is None and diagnostics is None and ledger is None:
             return NULL_CONTEXT
         return RunContext(
             logger=logger,
-            profiler=profiler,
             diagnostics=diagnostics,
             ledger=ledger,
         )
@@ -473,7 +458,6 @@ def _telemetry_context(args, kind: str, total_steps: int | None = None):
         logger=logger,
         seed=args.seed,
         kind=kind,
-        profiler=profiler,
         diagnostics=diagnostics,
         ledger=ledger,
     )
@@ -484,35 +468,31 @@ def _telemetry_context(args, kind: str, total_steps: int | None = None):
 
 
 @contextlib.contextmanager
-def _profiled(ctx, args):
-    """Run the wrapped block under the context's profiler, if any.
+def _profiled(args):
+    """Run the wrapped block under cProfile when --profile[-out] is set.
 
-    On exit (normal or interrupted) the capture stops, the nn-layer hook
-    is deactivated, the phase table and cProfile hotspot table print,
-    and the pstats dump is written (``--profile-out``, default
-    ``profile.pstats``).
+    On exit (normal or interrupted) the capture stops, the pstats dump
+    is written (``--profile-out``, default ``profile.pstats``) and the
+    top-15 functions by cumulative time print.
     """
-    from repro.telemetry import NullProfiler
-    from repro.telemetry.profiling import activate, deactivate
-
-    prof = ctx.profiler
-    if isinstance(prof, NullProfiler):
+    if not (args.profile or args.profile_out):
         yield
         return
-    activate(prof)
-    prof.start()
+    import cProfile
+    import pstats
+
+    prof = cProfile.Profile()
+    prof.enable()
     try:
         yield
     finally:
-        prof.stop()
-        deactivate()
-        print("\nprofile: per-phase wall time")
-        print(prof.report())
-        if prof.has_cprofile:
-            out = args.profile_out or "profile.pstats"
-            prof.dump_pstats(out)
-            print(f"\nprofile: wrote pstats dump {out}")
-            print(prof.hotspot_table(top_n=15))
+        prof.disable()
+        out = Path(args.profile_out or "profile.pstats")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        prof.dump_stats(out)
+        print(f"\nprofile: wrote pstats dump {out}")
+        stats = pstats.Stats(prof).strip_dirs().sort_stats("cumulative")
+        stats.print_stats(15)
 
 
 def _print_diagnostics(ctx) -> None:
@@ -603,7 +583,7 @@ def _cmd_train(args) -> int:
     ctx = _telemetry_context(
         args, kind="offline-train", total_steps=args.iterations
     )
-    with _sigterm_as_interrupt(), _profiled(ctx, args):
+    with _sigterm_as_interrupt(), _profiled(args):
         try:
             log = tuner.train_offline(env, args.iterations, telemetry=ctx)
         except KeyboardInterrupt:
@@ -652,25 +632,14 @@ def _print_session(session) -> None:
         )
 
 
-def _checkpoint_is_population(path) -> bool:
-    """Sniff whether a checkpoint file holds a population snapshot."""
-    import pickle
-
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    return "population_checkpoint_version" in payload
-
-
-def _tune_population(args) -> int:
-    from repro.core.persistence import (
-        PopulationCheckpointManager,
-        load_population_checkpoint,
-    )
+def _tune_population(args, ck) -> int:
+    """Serve ``--population`` sessions, or resume the population
+    checkpoint ``ck`` already loaded from ``--resume``."""
+    from repro.core.persistence import PopulationCheckpointManager
     from repro.core.population import PopulationTuner, population_seed_plan
     from repro.core.resilience import ResiliencePolicy
 
-    if args.resume is not None:
-        ck = load_population_checkpoint(args.resume)
+    if ck is not None:
         tuners, envs, sessions = ck.tuners, ck.envs, ck.sessions
         start_steps, resiliences = ck.next_steps, ck.resiliences
         ckpt_path = args.checkpoint if args.checkpoint else args.resume
@@ -727,7 +696,7 @@ def _tune_population(args) -> int:
             file=sys.stderr,
         )
     ctx = _telemetry_context(args, kind="online-tune", total_steps=args.steps)
-    with _sigterm_as_interrupt(), _profiled(ctx, args):
+    with _sigterm_as_interrupt(), _profiled(args):
         try:
             if shards > 1:
                 from repro.parallel import ShardCrash, ShardedPopulation
@@ -781,19 +750,25 @@ def _tune_population(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from repro.core.persistence import CheckpointManager, load_checkpoint
+    from repro.core.persistence import (
+        CheckpointManager,
+        PopulationCheckpoint,
+        load_any_checkpoint,
+    )
     from repro.core.resilience import ResiliencePolicy
 
     if args.resume is None and args.model is None:
         print("tune: either --model or --resume is required",
               file=sys.stderr)
         return 2
-    if args.resume is not None and _checkpoint_is_population(args.resume):
-        return _tune_population(args)
-    if args.resume is None and args.population is not None:
-        return _tune_population(args)
-    if args.resume is not None:
-        ckpt = load_checkpoint(args.resume)
+    ckpt = (
+        load_any_checkpoint(args.resume) if args.resume is not None else None
+    )
+    if isinstance(ckpt, PopulationCheckpoint) or (
+        ckpt is None and args.population is not None
+    ):
+        return _tune_population(args, ckpt)
+    if ckpt is not None:
         tuner, env = ckpt.tuner, ckpt.env
         session, start_step = ckpt.session, ckpt.next_step
         resilience = ckpt.resilience
@@ -832,7 +807,7 @@ def _cmd_tune(args) -> int:
         else None
     )
     ctx = _telemetry_context(args, kind="online-tune", total_steps=args.steps)
-    with _sigterm_as_interrupt(), _profiled(ctx, args):
+    with _sigterm_as_interrupt(), _profiled(args):
         try:
             session = tuner.tune_online(
                 env, steps=args.steps, time_budget_s=args.time_budget,

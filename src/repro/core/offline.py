@@ -46,9 +46,7 @@ class OfflineTrainer:
     """Drives agent-environment interaction plus replay updates.
 
     ``telemetry`` (a :class:`~repro.telemetry.context.RunContext`)
-    carries logger, tracer, metrics, and manifest in one object; the
-    legacy ``logger`` keyword still works and is routed through a
-    context internally.
+    carries logger, tracer, metrics, and manifest in one object.
     """
 
     def __init__(
@@ -56,7 +54,6 @@ class OfflineTrainer:
         agent,
         buffer,
         updates_per_step: int = 1,
-        logger=None,
         telemetry=None,
     ):
         if updates_per_step < 0:
@@ -67,12 +64,7 @@ class OfflineTrainer:
         self.log = OfflineTrainingLog()
         from repro.telemetry.context import ensure_context
 
-        self.telemetry = ensure_context(telemetry, logger)
-
-    @property
-    def logger(self):
-        """The event logger (backward-compatible accessor)."""
-        return self.telemetry.logger
+        self.telemetry = ensure_context(telemetry)
 
     def _q_estimate(self, state, action) -> float:
         """Critic's view of ``action`` before learning from it."""
@@ -208,9 +200,7 @@ class OfflineTrainer:
         state = env.state
         warmup = self.agent.hp.warmup_steps
         start = 0
-        with t.phase("offline.train"), t.span(
-            "offline.train", iterations=iterations
-        ):
+        with t.span("offline.train", iterations=iterations):
             if lhs_warmup and len(self.buffer) < warmup:
                 n = min(warmup - len(self.buffer), iterations)
                 # Same stream random_action() would have consumed.
@@ -218,9 +208,7 @@ class OfflineTrainer:
                 with t.span("offline.warmup-batch", candidates=n):
                     outcomes = env.step_batch(vectors)
                 for it, outcome in enumerate(outcomes):
-                    with t.phase("offline.step"), t.span(
-                        "offline.step", iteration=it
-                    ):
+                    with t.span("offline.step", iteration=it):
                         q_est = self._q_estimate(
                             outcome.state, outcome.action
                         )
@@ -229,9 +217,7 @@ class OfflineTrainer:
                 state = env.state
                 start = n
             for it in range(start, iterations):
-                with t.phase("offline.step"), t.span(
-                    "offline.step", iteration=it
-                ):
+                with t.span("offline.step", iteration=it):
                     in_warmup = len(self.buffer) < warmup
                     if in_warmup:
                         action = self.agent.random_action()

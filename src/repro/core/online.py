@@ -52,14 +52,13 @@ class OnlineTuner:
         fine_tune_updates: int = 2,
         exploration_sigma: float = 0.3,
         rng: np.random.Generator | None = None,
-        logger=None,
         telemetry=None,
     ):
         if fine_tune_updates < 0:
             raise ValueError("fine_tune_updates cannot be negative")
         from repro.telemetry.context import ensure_context
 
-        self.telemetry = ensure_context(telemetry, logger)
+        self.telemetry = ensure_context(telemetry)
         self.agent = agent
         self.buffer = buffer
         self.name = name
@@ -69,11 +68,6 @@ class OnlineTuner:
         self.fine_tune_updates = fine_tune_updates
         self.exploration_sigma = exploration_sigma
         self._rng = rng if rng is not None else np.random.default_rng()
-
-    @property
-    def logger(self):
-        """The event logger (backward-compatible accessor)."""
-        return self.telemetry.logger
 
     def _note_intervention(self, kind: str, step: int | None = None) -> None:
         """Record one resilience intervention: an ``intervention`` event
@@ -361,14 +355,12 @@ class OnlineTuner:
         t = self.telemetry
         session, state = self._open(env, resilience, session)
         try:
-            with t.phase("online.tune"), t.span(
+            with t.span(
                 "online.tune", tuner=self.name, workload=session.workload,
                 dataset=session.dataset,
             ):
                 for step in range(start_step, steps):
-                    with t.phase("online.step"), t.span(
-                        "online.step", step=step
-                    ):
+                    with t.span("online.step", step=step):
                         t0 = time.perf_counter()
                         action, sigma = self._plan(resilience, step)
                         diag: dict = {}

@@ -59,6 +59,7 @@ __all__ = [
     "PopulationCheckpoint",
     "save_population_checkpoint",
     "load_population_checkpoint",
+    "load_any_checkpoint",
     "PopulationCheckpointManager",
 ]
 
@@ -318,6 +319,25 @@ def save_checkpoint(
     return path
 
 
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Reads checkpoints of every earlier version.
+
+    Checkpoints written before the phase profiler was removed carry the
+    detached null context with its null profiler.  Nothing reads that
+    object after a restore, so it loads as a plain ``object``.
+    """
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == "repro.telemetry.profiling":
+            return object
+        return super().find_class(module, name)
+
+
+def _read_payload(path: str | Path) -> dict:
+    with open(Path(path), "rb") as fh:
+        return _CheckpointUnpickler(fh).load()
+
+
 def load_checkpoint(path: str | Path) -> SessionCheckpoint:
     """Restore a session snapshot written by :func:`save_checkpoint`.
 
@@ -325,8 +345,10 @@ def load_checkpoint(path: str | Path) -> SessionCheckpoint:
     :class:`~repro.telemetry.context.RunContext` by passing it to
     ``tune_online`` as usual.
     """
-    with open(Path(path), "rb") as fh:
-        payload = pickle.load(fh)
+    return _session_checkpoint(_read_payload(path))
+
+
+def _session_checkpoint(payload: dict) -> SessionCheckpoint:
     version = payload.get("checkpoint_version")
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
@@ -414,8 +436,10 @@ def save_population_checkpoint(
 def load_population_checkpoint(path: str | Path) -> PopulationCheckpoint:
     """Restore a population snapshot written by
     :func:`save_population_checkpoint`."""
-    with open(Path(path), "rb") as fh:
-        payload = pickle.load(fh)
+    return _population_checkpoint(_read_payload(path))
+
+
+def _population_checkpoint(payload: dict) -> PopulationCheckpoint:
     version = payload.get("population_checkpoint_version")
     if version != _POPULATION_CHECKPOINT_VERSION:
         raise ValueError(
@@ -429,6 +453,16 @@ def load_population_checkpoint(path: str | Path) -> PopulationCheckpoint:
         next_steps=[m["next_step"] for m in members],
         resiliences=[m["resilience"] for m in members],
     )
+
+
+def load_any_checkpoint(
+    path: str | Path,
+) -> SessionCheckpoint | PopulationCheckpoint:
+    """Restore whichever snapshot ``path`` holds, unpickling it once."""
+    payload = _read_payload(path)
+    if "population_checkpoint_version" in payload:
+        return _population_checkpoint(payload)
+    return _session_checkpoint(payload)
 
 
 class PopulationCheckpointManager:

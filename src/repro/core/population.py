@@ -267,9 +267,7 @@ class PopulationTuner:
             outcome = outcomes[i]
             self._actions[i] = outcome.action
             t = members[i].tuner.telemetry
-            with t.phase("twinq.optimize"), t.span(
-                "twinq.optimize"
-            ) as span:
+            with t.span("twinq.optimize") as span:
                 span.set_attr("iterations", outcome.iterations)
                 span.set_attr("accepted", outcome.accepted)
             record_screening(t, outcome)
@@ -298,7 +296,7 @@ class PopulationTuner:
         self.begin(steps)
         lead = members[0].tuner.telemetry
         try:
-            with lead.phase("population.tune"), lead.span(
+            with lead.span(
                 "population.tune", n=len(members), steps=steps
             ):
                 for step in range(steps):

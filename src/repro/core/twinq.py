@@ -128,8 +128,7 @@ def twin_q_optimize(
 
         telemetry = NULL_CONTEXT
 
-    with telemetry.phase("twinq.optimize"), \
-            telemetry.span("twinq.optimize") as span:
+    with telemetry.span("twinq.optimize") as span:
         outcome = _optimize(
             agent, state, action, q_threshold, noise_sigma, rng,
             max_iterations,

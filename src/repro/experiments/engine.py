@@ -1390,9 +1390,7 @@ class ExperimentEngine:
                 ref=f"{self._run_tag}.run", tasks=n, jobs=self.jobs,
             )
         try:
-            with self.telemetry.phase("engine.dispatch"), \
-                    self.telemetry.span("engine.run", tasks=n,
-                                        jobs=self.jobs):
+            with self.telemetry.span("engine.run", tasks=n, jobs=self.jobs):
                 for task in tasks:
                     if task.kind not in _TASK_KINDS:
                         raise KeyError(

@@ -7,7 +7,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.nn.layers import Layer, Linear, make_activation
-from repro.telemetry.profiling import phase as _profile_phase
 
 __all__ = ["Parameter", "Sequential", "MLP"]
 
@@ -56,16 +55,12 @@ class Sequential:
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         """Run the network; ``cache=True`` stores activations for backward."""
-        # The nn layer carries no RunContext (pure math), so its phases
-        # resolve through the process-wide active profiler — a shared
-        # no-op unless ``repro.telemetry.profiling.activate`` ran.
-        with _profile_phase("nn.forward"):
-            out = np.asarray(x, dtype=np.float64)
-            if out.ndim == 1:
-                out = out[None, :]
-            for layer in self.layers:
-                out = layer.forward(out, cache=cache)
-            return out
+        out = np.asarray(x, dtype=np.float64)
+        if out.ndim == 1:
+            out = out[None, :]
+        for layer in self.layers:
+            out = layer.forward(out, cache=cache)
+        return out
 
     __call__ = forward
 
@@ -84,19 +79,16 @@ class Sequential:
         gradient and returns ``None``.  What is still computed is
         bit-identical to the full pass.
         """
-        with _profile_phase("nn.backward"):
-            grad = np.asarray(grad_out, dtype=np.float64)
-            if grad.ndim == 1:
-                grad = grad[None, :]
-            for i in range(len(self.layers) - 1, -1, -1):
-                layer, to_input = self.layers[i], input_grad or i > 0
-                if isinstance(layer, Linear):
-                    grad = layer.backward(
-                        grad, params=params, input_grad=to_input
-                    )
-                elif to_input:  # a parameter-free layer's only output
-                    grad = layer.backward(grad)
-            return grad if input_grad else None
+        grad = np.asarray(grad_out, dtype=np.float64)
+        if grad.ndim == 1:
+            grad = grad[None, :]
+        for i in range(len(self.layers) - 1, -1, -1):
+            layer, to_input = self.layers[i], input_grad or i > 0
+            if isinstance(layer, Linear):
+                grad = layer.backward(grad, params=params, input_grad=to_input)
+            elif to_input:  # a parameter-free layer's only output
+                grad = layer.backward(grad)
+        return grad if input_grad else None
 
     def parameters(self) -> list[Parameter]:
         params: list[Parameter] = []

@@ -396,7 +396,7 @@ class ShardedPopulation:
         t = self.telemetry
         inflight: list[_Shard] = []
         try:
-            with t.phase("population.tune"), t.span(
+            with t.span(
                 "population.tune", n=len(self), steps=steps,
                 shards=self.shards,
             ):

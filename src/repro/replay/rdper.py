@@ -87,10 +87,6 @@ class RewardDrivenReplayBuffer:
 
     def push(self, transition: Transition) -> None:
         """Route the transition by its reward against ``R_th``."""
-        with self._telemetry.phase("replay.push"):
-            self._push(transition)
-
-    def _push(self, transition: Transition) -> None:
         if transition.reward >= self.reward_threshold:
             self._high.push(transition)
             self._pushes_since_high = 0
@@ -107,15 +103,6 @@ class RewardDrivenReplayBuffer:
             help="P_low occupancy",
         )
 
-    def sample(self, batch_size: int) -> ReplayBatch:
-        """Draw β·m from P_high and (1−β)·m from P_low.
-
-        When one pool cannot supply its share (early training), the other
-        pool covers the deficit, so the batch size is always honoured.
-        """
-        with self._telemetry.phase("replay.sample"):
-            return self._sample(batch_size)
-
     def _batch_workspace(self, batch_size: int) -> ReplayBatch:
         batch = self._batches.get(batch_size)
         if batch is None:
@@ -127,7 +114,12 @@ class RewardDrivenReplayBuffer:
             )
         return batch
 
-    def _sample(self, batch_size: int) -> ReplayBatch:
+    def sample(self, batch_size: int) -> ReplayBatch:
+        """Draw β·m from P_high and (1−β)·m from P_low.
+
+        When one pool cannot supply its share (early training), the other
+        pool covers the deficit, so the batch size is always honoured.
+        """
         # All validation happens before any telemetry is emitted, so an
         # impossible sample never records a realized-beta observation.
         if batch_size <= 0:

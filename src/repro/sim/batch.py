@@ -163,9 +163,7 @@ def evaluate_batch(
     node = cluster.node
     stages = sim._stages
 
-    with t.phase("sim.evaluate_batch"), t.span(
-        "sim.evaluate_batch", workload=sim.workload.code, n=n
-    ):
+    with t.span("sim.evaluate_batch", workload=sim.workload.code, n=n):
         cols = space.decode_columns(mat)
         placement = plan_executors_batch(cols, cluster)
         feasible = placement.feasible
@@ -275,7 +273,7 @@ def evaluate_population(
     stages = lead._stages
     t0 = lead.telemetry
 
-    with t0.phase("sim.evaluate_population"), t0.span(
+    with t0.span(
         "sim.evaluate_population", workload=lead.workload.code, n=n
     ):
         cols = space.decode_columns(mat)

@@ -105,7 +105,7 @@ class SparkSimulator:
 
     def evaluate(self, config: Mapping[str, Any]) -> ExecutionResult:
         """Run the workload once under ``config`` and return the result."""
-        with self.telemetry.phase("sim.evaluate"), self.telemetry.span(
+        with self.telemetry.span(
             "sim.evaluate", workload=self.workload.code
         ) as span:
             result = self._evaluate(config)

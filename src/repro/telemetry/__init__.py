@@ -64,7 +64,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     NullRegistry,
 )
-from repro.telemetry.profiling import NULL_PROFILER, NullProfiler, Profiler
 from repro.telemetry.stitch import (
     STITCH_SCHEMA,
     StitchResult,
@@ -95,9 +94,6 @@ __all__ = [
     "Span",
     "load_trace",
     "render_span_tree",
-    "Profiler",
-    "NullProfiler",
-    "NULL_PROFILER",
     "HeartbeatWriter",
     "read_heartbeat",
     "render_heartbeat",

@@ -2,7 +2,7 @@
 
 The trainer/tuner/simulator APIs accept a single ``telemetry`` argument
 instead of growing one keyword per concern.  The default
-:data:`NULL_CONTEXT` wires null implementations of all four pillars, so
+:data:`NULL_CONTEXT` wires null implementations of every pillar, so
 instrumented hot paths cost one no-op method call when telemetry is off
 — no branches, no allocation.
 
@@ -36,7 +36,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     NullRegistry,
 )
-from repro.telemetry.profiling import NULL_PROFILER, NullProfiler, Profiler
 from repro.telemetry.tracing import NULL_TRACER, NullTracer, Tracer
 from repro.utils.logging import NullLogger, TuningLogger
 
@@ -59,9 +58,6 @@ class RunContext:
         null registry.
     manifest:
         A :class:`~repro.telemetry.manifest.RunManifest` for provenance.
-    profiler:
-        A :class:`~repro.telemetry.profiling.Profiler` aggregating phase
-        timings/allocations; default null profiler (no-op phases).
     diagnostics:
         A :class:`~repro.telemetry.diagnostics.DiagnosticsEngine`
         running learning-health detectors; default null engine (all
@@ -76,7 +72,6 @@ class RunContext:
         tracer: Tracer | NullTracer | None = None,
         metrics: MetricsRegistry | NullRegistry | None = None,
         manifest: RunManifest | None = None,
-        profiler: Profiler | NullProfiler | None = None,
         diagnostics: DiagnosticsEngine | NullDiagnostics | None = None,
         ledger: CostLedger | NullLedger | None = None,
         trace_path: str | Path | None = None,
@@ -94,7 +89,6 @@ class RunContext:
             )
         self.metrics = metrics
         self.manifest = manifest
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.diagnostics = (
             diagnostics if diagnostics is not None else NULL_DIAGNOSTICS
         )
@@ -114,7 +108,6 @@ class RunContext:
         logger: TuningLogger | None = None,
         seed: int | None = None,
         kind: str = "run",
-        profiler: Profiler | None = None,
         diagnostics: DiagnosticsEngine | None = None,
         ledger: CostLedger | None = None,
     ) -> "RunContext":
@@ -122,7 +115,7 @@ class RunContext:
 
         Unlike the raw constructor, tracer and registry are always live
         here — callers can inspect them in-process even without output
-        files.  The profiler and diagnostics engine stay null unless
+        files.  The diagnostics engine and ledger stay null unless
         passed explicitly (both are opt-in even on a recording context).
         """
         return cls(
@@ -130,7 +123,6 @@ class RunContext:
             tracer=Tracer(),
             metrics=MetricsRegistry(),
             manifest=RunManifest(kind=kind, seed=seed),
-            profiler=profiler,
             diagnostics=diagnostics,
             ledger=ledger,
             trace_path=trace,
@@ -138,30 +130,10 @@ class RunContext:
             manifest_path=manifest,
         )
 
-    @property
-    def enabled(self) -> bool:
-        """True if any pillar is live (used only for cheap short-circuits
-        around *building* attribute dicts, never around recording)."""
-        return not (
-            isinstance(self.tracer, NullTracer)
-            and isinstance(self.metrics, NullRegistry)
-            and isinstance(self.logger, NullLogger)
-            and isinstance(self.profiler, NullProfiler)
-            and isinstance(self.diagnostics, NullDiagnostics)
-            and not self.ledger.enabled
-            and self.manifest is None
-        )
-
     # ----------------------------------------------------- delegate: spans
 
     def span(self, name: str, **attrs: Any):
         return self.tracer.span(name, **attrs)
-
-    # ---------------------------------------------------- delegate: phases
-
-    def phase(self, name: str):
-        """Profiler phase frame (no-op on the default null profiler)."""
-        return self.profiler.phase(name)
 
     # ---------------------------------------------------- delegate: events
 
@@ -270,31 +242,6 @@ class RunContext:
 NULL_CONTEXT = RunContext()
 
 
-def ensure_context(
-    telemetry: RunContext | None, logger: TuningLogger | None = None
-) -> RunContext:
-    """Coerce the (telemetry, logger) constructor pair into one context.
-
-    Keeps every pre-telemetry call site working: passing only ``logger``
-    wraps it in a fresh context; passing ``telemetry`` uses it as-is
-    (with ``logger`` grafted on if the context has none); passing
-    neither yields the shared :data:`NULL_CONTEXT`.
-    """
-    if telemetry is None:
-        if logger is None:
-            return NULL_CONTEXT
-        return RunContext(logger=logger)
-    if logger is not None and isinstance(telemetry.logger, NullLogger):
-        return RunContext(
-            logger=logger,
-            tracer=telemetry.tracer,
-            metrics=telemetry.metrics,
-            manifest=telemetry.manifest,
-            profiler=telemetry.profiler,
-            diagnostics=telemetry.diagnostics,
-            ledger=telemetry.ledger,
-            trace_path=telemetry.trace_path,
-            metrics_path=telemetry.metrics_path,
-            manifest_path=telemetry.manifest_path,
-        )
-    return telemetry
+def ensure_context(telemetry: RunContext | None) -> RunContext:
+    """``telemetry`` itself, or the shared :data:`NULL_CONTEXT` for None."""
+    return telemetry if telemetry is not None else NULL_CONTEXT

@@ -5,6 +5,7 @@ robustness counterpart of the engine's sharding invariants: interrupting
 a session must never change the science.
 """
 
+import builtins
 import lzma
 import pickle
 from pathlib import Path
@@ -305,3 +306,29 @@ class TestCLIResume:
 
     def test_tune_requires_model_or_resume(self, capsys):
         assert main(["tune", "--workload", "WC"]) == 2
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--population", "2"]], ids=["session", "population"]
+    )
+    def test_resume_reads_checkpoint_once(
+        self, tmp_path, monkeypatch, extra
+    ):
+        model = str(tmp_path / "m.npz")
+        ckpt = str(tmp_path / "s.ckpt")
+        main(["train", "--workload", "WC", "--iterations", "80",
+              "--model", model])
+        assert main(
+            ["tune", "--workload", "WC", "--model", model, "--steps", "1",
+             "--checkpoint", ckpt, *extra]
+        ) == 0
+        reads = []
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if str(file) == ckpt and "r" in mode:
+                reads.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(["tune", "--resume", ckpt, "--steps", "2"]) == 0
+        assert reads == ["rb"]

@@ -1,12 +1,15 @@
-"""What a fresh interpreter loads: no scipy until a GP tuner is used.
+"""What a fresh interpreter loads: no scipy until a GP tuner is used,
+no profiler until ``--profile`` is.
 
 OtterTune's GP and Expected Improvement stages, which BayesOptTuner
 reuses, import scipy at module level: about a second and most of a
 fresh process's memory.  ``repro``, ``repro.baselines`` and
 ``repro.experiments.common`` load them on first use, so a CLI start, a
 ``repro train``/``repro tune`` run and an engine worker that never runs
-a GP tuner pay nothing for scipy.  Each case runs in a new interpreter,
-because this one has imported everything long ago.
+a GP tuner pay nothing for scipy.  Likewise only the CLI's
+``--profile`` capture imports ``cProfile`` and ``pstats``.  Each case
+runs in a new interpreter, because this one has imported everything
+long ago.
 """
 
 import json
@@ -19,7 +22,8 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
-#: appended to every case: the scipy and figure modules it left loaded
+#: appended to every case: the scipy, figure and profiler modules it
+#: left loaded
 REPORT_LOADED = """
 import json as _json, sys as _sys
 print(_json.dumps({
@@ -27,6 +31,8 @@ print(_json.dumps({
                     if m == "scipy" or m.startswith("scipy.")),
     "figures": sorted(m for m in _sys.modules
                       if m.startswith("repro.experiments.fig")),
+    "profilers": sorted(m for m in ("cProfile", "pstats", "tracemalloc")
+                        if m in _sys.modules),
     **globals().get("extra", {}),
 }))
 """
@@ -46,12 +52,14 @@ def _fresh(code, cwd=None):
 
 
 def test_import_repro_loads_no_scipy():
-    assert _fresh("import repro")["scipy"] == []
+    loaded = _fresh("import repro")
+    assert loaded["scipy"] == []
+    assert loaded["profilers"] == []
 
 
 def test_cli_parser_loads_no_scipy_and_no_figure_module():
     loaded = _fresh("import repro.cli\nrepro.cli.build_parser()")
-    assert loaded == {"scipy": [], "figures": []}
+    assert loaded == {"scipy": [], "figures": [], "profilers": []}
 
 
 def test_cli_runs_load_no_scipy(tmp_path):
@@ -64,6 +72,7 @@ def test_cli_runs_load_no_scipy(tmp_path):
         cwd=tmp_path,
     )
     assert loaded["scipy"] == []
+    assert loaded["profilers"] == []
 
 
 def test_gp_tuners_resolve_to_their_classes():

@@ -13,6 +13,7 @@ from repro.core.offline import OfflineTrainer
 from repro.factory import make_env
 from repro.sim.engine import SparkSimulator
 from repro.sim.timeline import render_timeline
+from repro.telemetry import RunContext
 from repro.utils.logging import ConsoleLogger, JsonlLogger, NullLogger
 from repro.workloads.registry import get_workload
 
@@ -60,9 +61,9 @@ class TestLoggers:
         env = make_env("TS", "D1", seed=0)
         tuner = DeepCAT.from_env(env, seed=0, hp=FAST_HP)
         logger = JsonlLogger(path)
-        OfflineTrainer(tuner.agent, tuner.buffer, logger=logger).train(
-            env, 12
-        )
+        OfflineTrainer(
+            tuner.agent, tuner.buffer, telemetry=RunContext(logger=logger)
+        ).train(env, 12)
         logger.close()
         records = [
             json.loads(line) for line in path.read_text().splitlines()

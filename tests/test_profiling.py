@@ -1,231 +1,55 @@
-"""Profiling hooks: phase timers, capture layers, and zero-cost default."""
+"""``--profile``: a cProfile capture around a ``train``/``tune`` run."""
+
+import pstats
 
 import numpy as np
 import pytest
 
-from repro.agents.base import AgentHyperParams
+from repro.cli import main
 from repro.core.deepcat import DeepCAT
-from repro.factory import make_env
-from repro.telemetry import (
-    NULL_CONTEXT,
-    NULL_PROFILER,
-    NullProfiler,
-    Profiler,
-    RunContext,
-)
-from repro.telemetry.profiling import (
-    activate,
-    active_profiler,
-    deactivate,
-    phase,
-)
 
-FAST_HP = AgentHyperParams(batch_size=16, warmup_steps=8, hidden=(16, 16))
+# 150 iterations exceed the default batch size, so the profiled run takes
+# gradient steps and the parameter comparison below is not vacuous.
+TRAIN = ["train", "--iterations", "150"]
 
 
-class TestProfilerPhases:
-    def test_phase_accumulates_calls_and_time(self):
-        p = Profiler()
-        for _ in range(3):
-            with p.phase("work"):
-                pass
-        stats = p.stats()
-        assert stats["work"]["calls"] == 3
-        assert stats["work"]["total_s"] >= 0.0
-        assert stats["work"]["max_s"] >= stats["work"]["mean_s"]
-
-    def test_phase_frames_are_reused(self):
-        p = Profiler()
-        assert p.phase("a") is p.phase("a")
-        assert p.phase("a") is not p.phase("b")
-
-    def test_reentrant_phase_counts_outermost_only(self):
-        p = Profiler()
-        with p.phase("outer"):
-            with p.phase("outer"):
-                pass
-        assert p.stats()["outer"]["calls"] == 1
-
-    def test_report_sorted_by_total(self):
-        import time
-
-        p = Profiler()
-        with p.phase("slow"):
-            time.sleep(0.002)
-        with p.phase("fast"):
-            pass
-        lines = p.report().splitlines()
-        assert "phase" in lines[0]
-        assert lines[1].startswith("slow")
-
-    def test_report_min_total_filter(self):
-        p = Profiler()
-        with p.phase("tiny"):
-            pass
-        assert "tiny" not in p.report(min_total_s=10.0)
+def _network_functions(dump):
+    """Names of the profiled functions defined in ``repro/nn/network.py``."""
+    return {
+        name
+        for path, _, name in pstats.Stats(str(dump)).stats
+        if path.endswith("repro/nn/network.py")
+    }
 
 
-class TestCaptureLayers:
-    def test_cprofile_dump_and_hotspots(self, tmp_path):
-        p = Profiler(cprofile=True)
-        with p:
-            sorted(np.random.default_rng(0).uniform(size=1000))
-        out = p.dump_pstats(tmp_path / "prof" / "run.pstats")
-        assert out.is_file() and out.stat().st_size > 0
-        import pstats
+@pytest.mark.determinism
+def test_profile_out_writes_dump_and_keeps_science(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main([*TRAIN, "--model", "m", "--profile-out", "p.pstats"]) == 0
+    out = capsys.readouterr().out
+    assert "profile: wrote pstats dump p.pstats" in out
+    assert "Ordered by: cumulative time" in out
+    assert "due to restriction <15>" in out
+    assert "forward" in _network_functions(tmp_path / "p.pstats")
 
-        pstats.Stats(str(out))  # loadable
-        table = p.hotspot_table(top_n=5)
-        assert "cumulative" in table
-
-    def test_cprofile_unavailable_raises(self):
-        p = Profiler()
-        assert not p.has_cprofile
-        with pytest.raises(RuntimeError):
-            p.dump_pstats("x.pstats")
-        with pytest.raises(RuntimeError):
-            p.hotspot_table()
-
-    def test_tracemalloc_tracks_peaks(self):
-        p = Profiler(trace_malloc=True)
-        with p:
-            with p.phase("alloc"):
-                _ = [0.0] * 100_000
-        assert p.stats()["alloc"]["alloc_peak_bytes"] > 100_000 * 4
-        assert p.global_alloc_peak_bytes > 0
-
-    def test_start_stop_idempotent(self):
-        p = Profiler(cprofile=True)
-        p.start()
-        p.start()
-        p.stop()
-        p.stop()
-        assert p.hotspot_table()  # capture usable after double stop
+    assert main([*TRAIN, "--model", "plain"]) == 0
+    profiled = np.load(tmp_path / "m.npz")["params"]
+    plain = np.load(tmp_path / "plain.npz")["params"]
+    assert profiled.tobytes() == plain.tobytes()
 
 
-class TestNullProfiler:
-    def test_null_phase_is_shared_noop(self):
-        null = NullProfiler()
-        assert null.phase("a") is null.phase("b")
-        with null.phase("a"):
-            pass
-        assert null.stats() == {}
-        assert null.report() == ""
-        assert not null.has_cprofile
+def test_interrupted_run_still_writes_profile(tmp_path, monkeypatch, capsys):
+    def interrupted(self, env, iterations, **kwargs):
+        env.step(env.space.encode(env.space.defaults()))
+        raise KeyboardInterrupt
 
-    def test_default_context_uses_null_profiler(self):
-        assert NULL_CONTEXT.profiler is NULL_PROFILER
-        with NULL_CONTEXT.phase("x"):
-            pass  # must be a silent no-op
-
-    def test_context_enabled_counts_profiler(self):
-        assert not RunContext().enabled
-        assert RunContext(profiler=Profiler()).enabled
-
-
-class TestActiveProfiler:
-    def test_activate_routes_module_level_phase(self):
-        p = Profiler()
-        activate(p)
-        try:
-            with phase("hooked"):
-                pass
-            assert active_profiler() is p
-        finally:
-            deactivate()
-        assert p.stats()["hooked"]["calls"] == 1
-        assert active_profiler() is NULL_PROFILER
-
-    def test_nn_forward_backward_report_phases(self):
-        from repro.nn.network import MLP
-
-        net = MLP(4, 2, hidden=(8,), rng=np.random.default_rng(0))
-        p = Profiler()
-        activate(p)
-        try:
-            out = net.forward(np.zeros((3, 4)))
-            net.backward(np.ones_like(out))
-        finally:
-            deactivate()
-        stats = p.stats()
-        assert stats["nn.forward"]["calls"] == 1
-        assert stats["nn.backward"]["calls"] == 1
-
-
-class TestPipelinePhases:
-    def test_instrumented_run_reports_hot_phases(self):
-        prof = Profiler()
-        ctx = RunContext(profiler=prof)
-        env = make_env("TS", "D1", seed=0)
-        tuner = DeepCAT.from_env(env, seed=0, hp=FAST_HP)
-        activate(prof)
-        try:
-            tuner.train_offline(env, 30, telemetry=ctx)
-            tuner.tune_online(make_env("TS", "D1", seed=1000), steps=2,
-                              telemetry=ctx)
-        finally:
-            deactivate()
-        stats = prof.stats()
-        for name in (
-            "offline.train",
-            "offline.step",
-            "online.tune",
-            "online.step",
-            "sim.evaluate",
-            "nn.forward",
-            "nn.backward",
-            "agent.update",
-            "replay.push",
-            "replay.sample",
-            "twinq.optimize",
-        ):
-            assert stats[name]["calls"] >= 1, name
-        assert stats["offline.step"]["calls"] == 30
-        assert stats["online.step"]["calls"] == 2
-
-    def test_engine_dispatch_phase(self):
-        from repro.experiments.engine import ExperimentEngine, TaskSpec
-
-        prof = Profiler()
-        engine = ExperimentEngine(telemetry=RunContext(profiler=prof))
-        # An unknown task kind aborts dispatch, but the phase frame has
-        # already been entered — the cheapest way to cover the hook
-        # without paying for a real training task.
-        with pytest.raises(KeyError):
-            engine.run([TaskSpec(kind="missing-kind", params={})])
-        assert prof.stats()["engine.dispatch"]["calls"] == 1
-
-    @pytest.mark.determinism
-    def test_profiling_does_not_change_science(self):
-        def run(profiled: bool):
-            env = make_env("TS", "D1", seed=3)
-            tuner = DeepCAT.from_env(env, seed=3, hp=FAST_HP)
-            if profiled:
-                prof = Profiler(trace_malloc=True)
-                ctx = RunContext(profiler=prof)
-                activate(prof)
-                prof.start()
-            else:
-                ctx = None
-            try:
-                tuner.train_offline(env, 25, telemetry=ctx)
-                session = tuner.tune_online(
-                    make_env("TS", "D1", seed=1003), steps=2, telemetry=ctx
-                )
-            finally:
-                if profiled:
-                    prof.stop()
-                    deactivate()
-            return session
-
-        plain = run(profiled=False)
-        profiled = run(profiled=True)
-        assert [s.reward for s in plain.steps] == [
-            s.reward for s in profiled.steps
-        ]
-        assert [s.duration_s for s in plain.steps] == [
-            s.duration_s for s in profiled.steps
-        ]
-        np.testing.assert_array_equal(
-            plain.steps[-1].action, profiled.steps[-1].action
-        )
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(DeepCAT, "train_offline", interrupted)
+    assert main([*TRAIN, "--model", "m", "--profile"]) == 130
+    out = capsys.readouterr().out
+    assert "interrupted: saved partially-trained m.npz" in out
+    assert "profile: wrote pstats dump profile.pstats" in out
+    assert "Ordered by: cumulative time" in out
+    assert pstats.Stats(str(tmp_path / "profile.pstats")).total_calls > 0

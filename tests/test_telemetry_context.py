@@ -73,7 +73,6 @@ class TestRunContext:
         assert isinstance(NULL_CONTEXT.metrics, NullRegistry)
         assert isinstance(NULL_CONTEXT.logger, NullLogger)
         assert NULL_CONTEXT.manifest is None
-        assert not NULL_CONTEXT.enabled
         # All delegates are harmless no-ops.
         with NULL_CONTEXT.span("x"):
             NULL_CONTEXT.count("c")
@@ -84,7 +83,6 @@ class TestRunContext:
 
     def test_recording_context_is_live(self):
         ctx = RunContext.recording(seed=5, kind="test")
-        assert ctx.enabled
         with ctx.span("op"):
             ctx.count("hits", tuner="DeepCAT")
             ctx.observe("lat", 0.5)
@@ -155,33 +153,8 @@ class TestRunContext:
 
 class TestEnsureContext:
     def test_none_none_yields_shared_null(self):
-        assert ensure_context(None, None) is NULL_CONTEXT
-
-    def test_logger_only_wraps(self, tmp_path):
-        logger = JsonlLogger(tmp_path / "e.jsonl")
-        ctx = ensure_context(None, logger)
-        assert ctx.logger is logger
-        assert isinstance(ctx.tracer, NullTracer)
-        logger.close()
+        assert ensure_context(None) is NULL_CONTEXT
 
     def test_context_passes_through(self):
         ctx = RunContext.recording()
-        assert ensure_context(ctx, None) is ctx
-
-    def test_logger_grafted_onto_loggerless_context(self, tmp_path):
-        ctx = RunContext.recording()
-        logger = JsonlLogger(tmp_path / "e.jsonl")
-        merged = ensure_context(ctx, logger)
-        assert merged.logger is logger
-        assert merged.tracer is ctx.tracer
-        assert merged.metrics is ctx.metrics
-        assert merged.manifest is ctx.manifest
-        logger.close()
-
-    def test_context_logger_wins_over_argument(self, tmp_path):
-        logger_a = JsonlLogger(tmp_path / "a.jsonl")
-        logger_b = JsonlLogger(tmp_path / "b.jsonl")
-        ctx = RunContext(logger=logger_a)
-        assert ensure_context(ctx, logger_b) is ctx
-        logger_a.close()
-        logger_b.close()
+        assert ensure_context(ctx) is ctx
