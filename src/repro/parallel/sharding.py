@@ -12,11 +12,16 @@ finished ``step`` everywhere, exactly like the single-process loop.
 Member state
 ------------
 A worker keeps its members in its own heap, as the single-process
-``PopulationTuner`` does.  Members travel by pickle three times: to the
-worker at spawn, back to the parent at each checkpoint (and the final
-interrupt snapshot), and back at finish.  Rounds ship only per-member
-step events.  ``_shutdown`` stops and joins every worker that started,
-whatever ended the run (SIGTERM, a SIGKILLed worker, a failed spawn).
+``PopulationTuner`` does.  ``_spawn`` starts every worker first, with
+BLAS pinned to ``blas_threads`` in the environment the workers
+inherit, and only then pickles each shard's members and sends them as
+the first message on its pipe, so the K workers import ``repro`` in
+parallel.
+Members travel back to the parent only at each checkpoint (and the
+final interrupt snapshot); at finish a worker returns its sessions
+alone.  Rounds ship only per-member step events.  ``_shutdown`` stops
+and joins every worker that started, whatever ended the run (SIGTERM,
+a SIGKILLed worker, a failed spawn).
 
 Bit-identity
 ------------
@@ -41,13 +46,14 @@ science) are unaffected.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import signal
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
-from repro.parallel.pinning import limit_blas_threads, shard_plan
+from repro.parallel.pinning import blas_env, limit_blas_threads, shard_plan
 
 __all__ = ["ShardCrash", "ShardStats", "ShardedPopulation"]
 
@@ -129,17 +135,17 @@ def _snapshot_bytes(payload, members) -> bytes:
     )
 
 
-def _shard_worker_main(
-    conn, payload_bytes: bytes, blas_threads: int, lo: int, steps: int,
-) -> None:
+def _shard_worker_main(conn, blas_threads: int, lo: int, steps: int) -> None:
     """Entry point of one shard worker (spawn start method).
 
     Protocol (all messages are tuples, parent → worker):
 
+    * ``("members", payload)`` → ``("ready", n)``, always the first
+      message; a ``("stop",)`` or EOF in its place ends the worker;
     * ``("round", step, time_budget_s)`` → ``("ok", status, elapsed_s,
       events)``;
     * ``("snapshot",)`` → ``("snapshot", bytes)``;
-    * ``("finish", time_budget_s)`` → ``("done", snapshot_bytes)``;
+    * ``("finish", time_budget_s)`` → ``("done", sessions)``;
     * ``("stop",)`` → worker exits.
 
     SIGINT is ignored so a Ctrl-C in the parent's terminal (delivered to
@@ -151,7 +157,10 @@ def _shard_worker_main(
     from repro.core.population import PopulationTuner
 
     try:
-        payload = pickle.loads(payload_bytes)
+        first = conn.recv()
+        if first[0] != "members":  # stopped before its members arrived
+            return
+        payload = first[1]
         pop = PopulationTuner.from_deepcat(
             payload["tuners"],
             payload["envs"],
@@ -184,7 +193,7 @@ def _shard_worker_main(
             elif cmd == "finish":
                 _, tb = msg
                 pop._finish_quarantined(steps, tb)
-                conn.send(("done", _snapshot_bytes(payload, pop.members)))
+                conn.send(("done", [m.session for m in pop.members]))
             elif cmd == "stop":
                 return
             else:  # pragma: no cover - protocol error
@@ -211,6 +220,12 @@ class ShardedPopulation:
     mirrors :meth:`PopulationTuner.tune` (sessions in member order,
     checkpoint cadence, final interrupt snapshot) but runs each round
     across ``shards`` persistent worker processes.
+
+    The members live in the workers while ``tune`` runs, and finish
+    brings back only their sessions.  After ``tune()``, ``tuners``,
+    ``envs`` and ``resiliences`` hold the members as of the last spawn
+    or snapshot (a checkpoint, or the interrupt snapshot); read the
+    returned sessions, or the checkpoint, for the state at the end.
     """
 
     def __init__(
@@ -272,37 +287,40 @@ class ShardedPopulation:
     # ------------------------------------------------------------ lifecycle
 
     def _spawn(self, steps: int) -> None:
-        from repro.core.persistence import _telemetry_detached
+        """Start every worker, then ship each its members.
 
+        A worker's BLAS reads its thread count from the environment when
+        numpy loads, which happens while the worker starts, so the
+        pinning variables are set for the starts alone.  Members follow
+        once all K processes are importing in parallel.
+        """
         ctx = mp.get_context("spawn")
-        for s, (lo, hi) in enumerate(self.shard_ranges):
-            with ExitStack() as stack:
-                for dc, env in zip(self.tuners[lo:hi], self.envs[lo:hi]):
-                    stack.enter_context(_telemetry_detached(dc, env))
-                payload_bytes = pickle.dumps(
-                    {
-                        "tuners": self.tuners[lo:hi],
-                        "envs": self.envs[lo:hi],
-                        "resiliences": self.resiliences[lo:hi],
-                        "sessions": self.sessions[lo:hi],
-                        "start_steps": self.start_steps[lo:hi],
-                        "fine_tune_updates": self.fine_tune_updates,
-                        "exploration_sigma": self.exploration_sigma,
-                    },
-                    protocol=pickle.HIGHEST_PROTOCOL,
+        pinned = blas_env(self.blas_threads)
+        caller = {var: os.environ.get(var) for var in pinned}
+        os.environ.update(pinned)
+        try:
+            for s, (lo, hi) in enumerate(self.shard_ranges):
+                parent_conn, child_conn = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_shard_worker_main,
+                    args=(child_conn, self.blas_threads, lo, steps),
+                    name=f"repro-shard-{s}",
+                    daemon=True,
                 )
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker_main,
-                args=(child_conn, payload_bytes, self.blas_threads, lo, steps),
-                name=f"repro-shard-{s}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._shards.append(
-                _Shard(index=s, lo=lo, hi=hi, process=proc, conn=parent_conn)
-            )
+                proc.start()
+                child_conn.close()
+                self._shards.append(
+                    _Shard(index=s, lo=lo, hi=hi, process=proc,
+                           conn=parent_conn)
+                )
+        finally:
+            for var, value in caller.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
+        for sh in self._shards:
+            self._send(sh, self._members_message(sh))
         for sh in self._shards:
             kind, count = self._recv(sh)
             if kind != "ready" or count != sh.hi - sh.lo:
@@ -310,16 +328,45 @@ class ShardedPopulation:
                     f"shard {sh.index} failed its handshake ({kind!r})"
                 )
 
+    def _members_message(self, sh: _Shard) -> bytes:
+        """The pickled ``("members", payload)`` message for one shard,
+        with each member's telemetry detached while it pickles."""
+        from repro.core.persistence import _telemetry_detached
+
+        lo, hi = sh.lo, sh.hi
+        with ExitStack() as stack:
+            for dc, env in zip(self.tuners[lo:hi], self.envs[lo:hi]):
+                stack.enter_context(_telemetry_detached(dc, env))
+            return pickle.dumps(
+                ("members", {
+                    "tuners": self.tuners[lo:hi],
+                    "envs": self.envs[lo:hi],
+                    "resiliences": self.resiliences[lo:hi],
+                    "sessions": self.sessions[lo:hi],
+                    "start_steps": self.start_steps[lo:hi],
+                    "fine_tune_updates": self.fine_tune_updates,
+                    "exploration_sigma": self.exploration_sigma,
+                }),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+
+    def _crash(self, sh: _Shard) -> ShardCrash:
+        return ShardCrash(
+            f"shard {sh.index} (members [{sh.lo}, {sh.hi})) died "
+            f"with exit code {sh.process.exitcode}"
+        )
+
     def _send(self, sh: _Shard, message) -> None:
-        """Send that turns a dead worker's broken pipe into the same
-        :class:`ShardCrash` the receive path raises."""
+        """Send a message tuple, or one already pickled to bytes; a dead
+        worker's broken pipe raises the same :class:`ShardCrash` the
+        receive path raises."""
         try:
-            sh.conn.send(message)
+            if isinstance(message, bytes):
+                sh.conn.send_bytes(message)
+            else:
+                sh.conn.send(message)
         except (BrokenPipeError, OSError):
-            raise ShardCrash(
-                f"shard {sh.index} (members [{sh.lo}, {sh.hi})) died "
-                f"with exit code {sh.process.exitcode}"
-            ) from None
+            raise self._crash(sh) from None
 
     def _recv(self, sh: _Shard, timeout_s: float | None = None):
         """Blocking receive that notices a dead worker instead of
@@ -332,18 +379,12 @@ class ShardedPopulation:
                 if sh.conn.poll(_POLL_S):
                     return sh.conn.recv()
             except (EOFError, OSError):
-                raise ShardCrash(
-                    f"shard {sh.index} (members [{sh.lo}, {sh.hi})) died "
-                    f"with exit code {sh.process.exitcode}"
-                ) from None
+                raise self._crash(sh) from None
             if not sh.process.is_alive():
                 # One last poll: the worker may have replied and exited.
                 if sh.conn.poll(0):
                     return sh.conn.recv()
-                raise ShardCrash(
-                    f"shard {sh.index} (members [{sh.lo}, {sh.hi})) died "
-                    f"with exit code {sh.process.exitcode}"
-                )
+                raise self._crash(sh)
             if deadline is not None and time.perf_counter() > deadline:
                 raise TimeoutError(f"shard {sh.index} reply timed out")
 
@@ -506,10 +547,10 @@ class ShardedPopulation:
         for sh in self._shards:
             self._send(sh, ("finish", time_budget_s))
         for sh in self._shards:
-            kind, blob = self._recv(sh)
+            kind, sessions = self._recv(sh)
             if kind != "done":  # pragma: no cover - protocol error
                 raise ShardCrash(f"shard {sh.index} bad finish reply")
-            self._absorb(sh, blob)
+            self.sessions[sh.lo:sh.hi] = sessions
         from repro.core.online import record_online_stage
 
         for session in self.sessions:

@@ -50,7 +50,13 @@ class RingStorage:
 
     Pre-allocates numpy arrays and overwrites the oldest entry when full —
     no per-push allocation, O(1) insertion, vectorized gather on sample.
+
+    Only rows ``[0, len)`` hold transitions: the arrays are allocated
+    uninitialized, every read is bounded by ``len``, and pickles and deep
+    copies carry the filled rows alone.
     """
+
+    _ARRAYS = ("_states", "_actions", "_rewards", "_next_states")
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
         if capacity <= 0:
@@ -60,12 +66,30 @@ class RingStorage:
         self.capacity = capacity
         self.state_dim = state_dim
         self.action_dim = action_dim
-        self._states = np.zeros((capacity, state_dim))
-        self._actions = np.zeros((capacity, action_dim))
-        self._rewards = np.zeros((capacity, 1))
-        self._next_states = np.zeros((capacity, state_dim))
+        self._states = np.empty((capacity, state_dim))
+        self._actions = np.empty((capacity, action_dim))
+        self._rewards = np.empty((capacity, 1))
+        self._next_states = np.empty((capacity, state_dim))
         self._next = 0
         self._size = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._ARRAYS:
+            state[name] = state[name][: self._size]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles written before only filled rows were stored hold
+        # full-capacity arrays; those load as they are.
+        self.__dict__.update(state)
+        for name in self._ARRAYS:
+            filled = state[name]
+            if len(filled) < self.capacity:
+                full = np.empty((self.capacity, *filled.shape[1:]),
+                                dtype=filled.dtype)
+                full[: len(filled)] = filled
+                setattr(self, name, full)
 
     def __len__(self) -> int:
         return self._size

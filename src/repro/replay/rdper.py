@@ -59,6 +59,11 @@ class RewardDrivenReplayBuffer:
 
         self._telemetry = NULL_CONTEXT
 
+    def __getstate__(self) -> dict:
+        # The sample workspaces are written before they are read, so
+        # pickles and deep copies carry them empty.
+        return {**self.__dict__, "_batches": {}}
+
     def set_telemetry(self, telemetry) -> None:
         """Attach a :class:`~repro.telemetry.context.RunContext`.
 

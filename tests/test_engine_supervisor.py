@@ -182,21 +182,28 @@ class TestPoolSupervision:
         assert eng.stats.quarantined_tasks == 0
 
     def test_crash_failure_is_marked_worker_crash(self, tmp_path):
-        eng = ExperimentEngine(jobs=2, task_retries=0,
+        # The self-kill runs alone: a crash charges every task that had
+        # started when the pool broke, so a sibling in the same run()
+        # could be quarantined with it.  The deadline, far above the
+        # task's run time, sends a lone task to the pool instead of
+        # running it inline in this process.
+        eng = ExperimentEngine(jobs=2, task_retries=0, task_timeout=120.0,
                                failure_mode="lenient")
         # No marker pre-created and retries=0: the one charged crash
         # quarantines the task.
-        tasks = [
+        [crashed] = eng.run([
             TaskSpec("sup-selfkill",
                      {"marker": str(tmp_path / "m"), "value": 1, "seed": 0}),
-            TaskSpec("sup-ok", {"value": 2, "seed": 0}),
-        ]
-        results = eng.run(tasks)
-        assert results[0] is None
-        assert results[1] == {"value": 2, "seed": 0}
+        ])
+        assert crashed is None
         [failure] = eng.failures
         assert failure.worker_crash is True
         assert failure.exc_type == "WorkerCrash"
+        assert eng.stats.quarantined_tasks == 1
+        # An unrelated task still completes on the same engine.
+        [ok] = eng.run([TaskSpec("sup-ok", {"value": 2, "seed": 0})])
+        assert ok == {"value": 2, "seed": 0}
+        assert eng.failures == [failure]
 
     def test_deadline_reaps_hung_worker(self):
         eng = ExperimentEngine(jobs=2, task_timeout=0.75, task_retries=0,

@@ -1,5 +1,7 @@
 """Tests for transition storage and the uniform replay buffer."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,50 @@ class TestRingStorage:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             RingStorage(0, 3, 2)
+
+
+def _filled(capacity, pushes):
+    s = RingStorage(capacity, 3, 2)
+    for i in range(pushes):
+        s.push(make_transition(i))
+    return s
+
+
+def _rows(s):
+    batch = s.gather(np.arange(len(s)))
+    return [a.tobytes() for a in (
+        batch.states, batch.actions, batch.rewards, batch.next_states)]
+
+
+def _assert_same_ring(copy, original):
+    """Same length and rows, and the next push lands in the same slot."""
+    assert len(copy) == len(original)
+    assert _rows(copy) == _rows(original)
+    t = make_transition(99)
+    assert copy.push(t) == original.push(t)
+    assert _rows(copy) == _rows(original)
+
+
+class TestRingStoragePickle:
+    def test_pickle_carries_filled_rows_only(self):
+        big = pickle.dumps(_filled(10_000, 3))
+        small = pickle.dumps(_filled(10, 3))
+        assert abs(len(big) - len(small)) < 1024
+
+    @pytest.mark.parametrize("capacity, pushes", [(10_000, 3), (4, 6)])
+    def test_round_trip(self, capacity, pushes):
+        s = _filled(capacity, pushes)
+        _assert_same_ring(pickle.loads(pickle.dumps(s)), s)
+
+    def test_full_array_pickle_loads(self, monkeypatch):
+        """Pickles written before only filled rows were stored hold
+        full-capacity arrays, and still load."""
+        s = _filled(10, 3)
+        monkeypatch.delattr(RingStorage, "__getstate__")
+        old = pickle.dumps(s)
+        monkeypatch.undo()
+        assert len(old) > len(pickle.dumps(s))
+        _assert_same_ring(pickle.loads(old), s)
 
 
 class TestUniformReplayBuffer:

@@ -108,15 +108,17 @@ def _nets_and_optimizers(tuner):
 
 
 def _scratch(tuner):
-    """Every layer attribute that is not a parameter, and every Adam's
-    scratch pool."""
+    """Every layer attribute that is not a parameter, every Adam's
+    scratch pool, and RDPER's sample workspaces."""
     nets, optimizers = _nets_and_optimizers(tuner)
     return [
         value
         for net in nets for layer in net.layers
         for value in vars(layer).values()
         if not isinstance(value, Parameter)
-    ] + [opt._scratch for opt in optimizers]
+    ] + [opt._scratch for opt in optimizers] + [
+        getattr(tuner.buffer, "_batches", None)
+    ]
 
 
 def _empty(value):

@@ -10,10 +10,13 @@ Contracts, all at CLI or public-API level:
   other shard count;
 * SIGTERM mid-round checkpoints at a clean step boundary and leaves no
   worker process behind;
-* a SIGKILLed worker surfaces as :class:`ShardCrash`, never a hang, and
-  the other workers are still stopped and joined;
+* a SIGKILLed worker, before its members arrive or between rounds,
+  surfaces as :class:`ShardCrash`, never a hang, and the other workers
+  are still stopped and joined;
 * a spawn that fails part-way still stops and joins the workers that
-  started.
+  started;
+* workers start with their BLAS pinned, whatever the caller's
+  environment, and the caller's environment is left as it was.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.core.persistence import (
 from repro.core.population import population_seed_plan
 from repro.core.result import sessions_equal
 from repro.parallel import ShardCrash, ShardedPopulation
+from repro.parallel.pinning import blas_env
 from repro.parallel.sharding import ShardedPopulation as _SP
 
 N = 4
@@ -198,9 +202,39 @@ def test_worker_sigkill_raises_shard_crash(monkeypatch):
     assert multiprocessing.active_children() == [], "crashed run left workers"
 
 
-def test_failed_spawn_reaps_started_workers():
-    """A member that cannot be pickled fails the spawn after shard 0's
-    worker started; tune() must still stop and join that worker."""
+def test_worker_dead_before_members_raises_shard_crash(monkeypatch):
+    """A worker that dies before its members arrive breaks the members
+    send into ShardCrash, never a hang, and every worker is joined."""
+    original = _SP._members_message
+
+    def killing_members(self, sh):
+        if sh.index == 0:
+            sh.process.kill()
+            sh.process.join(timeout=10.0)
+        return original(self, sh)
+
+    monkeypatch.setattr(_SP, "_members_message", killing_members)
+    tuners, envs = _members(2)
+    population = ShardedPopulation(
+        tuners, envs, shards=2, fine_tune_updates=1
+    )
+    with pytest.raises(ShardCrash, match="shard 0"):
+        population.tune(steps=1)
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_spawn_reaps_started_workers(monkeypatch):
+    """A member that cannot be pickled fails the spawn after every worker
+    started and shard 0 got its members; tune() must still stop and join
+    both workers, and each exits cleanly, with or without its members."""
+    started = []
+    original = _SP._shutdown
+
+    def recording_shutdown(self):
+        started.extend(sh.process for sh in self._shards)
+        return original(self)
+
+    monkeypatch.setattr(_SP, "_shutdown", recording_shutdown)
     tuners, envs = _members(2)
     tuners[1].lock = threading.Lock()
     population = ShardedPopulation(
@@ -209,16 +243,54 @@ def test_failed_spawn_reaps_started_workers():
     with pytest.raises(TypeError):
         population.tune(steps=1)
     assert multiprocessing.active_children() == []
+    assert [p.exitcode for p in started] == [0, 0]
 
 
 def test_population_reuse_rejected():
+    """Finish brings back sessions alone, so the population still holds
+    the caller's members; a second tune() is refused."""
     tuners, envs = _members(2)
     population = ShardedPopulation(
         tuners, envs, shards=2, fine_tune_updates=1
     )
     population.tune(steps=1)
+    assert len(population.tuners) == len(tuners)
+    assert all(a is b for a, b in zip(population.tuners, tuners))
     with pytest.raises(RuntimeError, match="already ran"):
         population.tune(steps=1)
+
+
+def _threads(pid: int) -> int:
+    with open(f"/proc/{pid}/status") as fh:
+        for line in fh:
+            if line.startswith("Threads:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no Threads: line for pid {pid}")
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads /proc"
+)
+def test_workers_start_with_pinned_blas(monkeypatch):
+    """A worker's BLAS sizes its thread pool when numpy loads, during the
+    worker's start, so the pinning must be in the environment it starts
+    with; the caller's environment is restored after."""
+    for var in blas_env(1):
+        monkeypatch.delenv(var, raising=False)
+    threads = []
+    original = _SP._emit_round
+
+    def reading_emit(self, step, replies, round_wall):
+        threads.extend(_threads(sh.process.pid) for sh in self._shards)
+        return original(self, step, replies, round_wall)
+
+    monkeypatch.setattr(_SP, "_emit_round", reading_emit)
+    tuners, envs = _members(2)
+    ShardedPopulation(tuners, envs, shards=2, fine_tune_updates=1).tune(
+        steps=2
+    )
+    assert threads == [1] * 4
+    assert not set(blas_env(1)) & set(os.environ)
 
 
 def test_cli_rejects_bad_shards(model, capsys):
