@@ -1,18 +1,27 @@
-"""Batched critic/actor queries across a population of TD3 agents.
+"""Batched queries and fine-tune updates across a population of TD3 agents.
 
-:class:`PopulationTD3View` stacks N independent
-:class:`~repro.agents.td3.TD3Agent` instances (via
-:class:`~repro.nn.population.StackedSequential`) and exposes exactly the
-three deterministic queries the online tuning loop issues — greedy
-``act``, single-pair ``min_q``, and candidate-fan ``twin_q`` — as one
-3-D tensor program each.  Everything stochastic (exploration noise,
-candidate draws, fine-tune updates) stays on the scalar agents, whose
-parameters are *views* into the stacked storage, so per-agent updates
-and batched queries always agree.
+:class:`PopulationTD3View` adopts N independent
+:class:`~repro.agents.td3.TD3Agent` instances into stacked storage
+(:mod:`repro.nn.population`): their six networks, targets included, and
+their three Adam optimizers.  Over that storage it runs
 
-Bit-identity per row is inherited from ``StackedSequential`` plus the
-facts that ``np.clip``/``np.minimum`` are elementwise and the critic
-input concatenation is pure data movement.
+* the three deterministic queries the online tuning loop issues —
+  greedy ``act``, single-pair ``min_q`` and candidate-fan ``twin_q`` —
+  as one 3-D tensor program each over all N members;
+* the fine-tune updates, as :meth:`~PopulationTD3View.update_block`
+  over a block of consecutive members: one stacked program per TD3
+  update instead of one scalar :meth:`TD3Agent.update` per member.
+
+Everything stochastic (exploration noise, candidate draws, replay
+samples, target-smoothing noise) is still drawn per member from the
+member's own generators.  Each agent's parameters are *views* into the
+stacked storage, so a member updated by its own scalar ``update`` (one
+that cannot join a block) and the stacked paths always agree.
+
+Bit-identity per row is inherited from :mod:`repro.nn.population`, plus
+the facts that ``np.clip``/``np.minimum`` are elementwise, the critic
+input concatenation is pure data movement, and each member's losses are
+``np.add.reduce`` sums over its own rows.
 """
 
 from __future__ import annotations
@@ -21,18 +30,50 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.population import StackedSequential
+from repro.nn.population import StackedAdam, StackedSequential
+from repro.replay.base import ReplayBatch
 
 __all__ = ["PopulationTD3View"]
 
+_NETS = ("actor", "critic1", "critic2",
+         "actor_target", "critic1_target", "critic2_target")
+_OPTS = ("actor_opt", "critic1_opt", "critic2_opt")
+
+
+class _BlockWorkspace:
+    """Arrays of a ``(B, batch)`` block update, shared by every block of
+    that size.  Members sample straight into ``x`` (states, actions),
+    ``rewards`` and ``xn`` (next states): ``batches[j]`` views row ``j``."""
+
+    def __init__(self, n: int, rows: int, state_dim: int, action_dim: int):
+        dim = state_dim + action_dim
+        self.x = np.empty((n, rows, dim))
+        self.xn = np.empty((n, rows, dim))
+        self.rewards = np.empty((n, rows, 1))
+        self.noise = np.empty((n, rows, action_dim))
+        self.y = np.empty((n, rows, 1))
+        self.g = np.empty((n, rows, 1))
+        self.q = (np.empty((n, rows, 1)), np.empty((n, rows, 1)))
+        self.td = (np.empty((n, rows, 1)), np.empty((n, rows, 1)))
+        self.actor_grad = np.full((n, rows, 1), -1.0 / rows)
+        self.batches = [
+            ReplayBatch(
+                states=self.x[j, :, :state_dim],
+                actions=self.x[j, :, state_dim:],
+                rewards=self.rewards[j],
+                next_states=self.xn[j, :, :state_dim],
+            )
+            for j in range(n)
+        ]
+
 
 class PopulationTD3View:
-    """Lockstep deterministic queries over N distinct TD3 agents.
+    """Lockstep queries and block updates over N distinct TD3 agents.
 
-    Row ``i`` of every method equals the corresponding scalar call on
-    ``agents[i]`` bit-for-bit.  Returned arrays may alias pooled
-    workspaces — consume them before the next call with the same
-    candidate count.
+    Row ``i`` of every query equals the corresponding scalar call on
+    ``agents[i]`` bit-for-bit, and so does every member's state after
+    :meth:`update_block`.  Returned arrays may alias pooled workspaces —
+    consume them before the next call with the same candidate count.
     """
 
     def __init__(self, agents: Sequence):
@@ -43,11 +84,11 @@ class PopulationTD3View:
             raise ValueError("population agents must be distinct objects")
         lead = agents[0]
         for agent in agents:
-            for net in ("actor", "critic1", "critic2"):
-                if not hasattr(agent, net):
+            for attr in _NETS + _OPTS:
+                if not hasattr(agent, attr):
                     raise TypeError(
-                        "population agents must expose actor/critic1/"
-                        f"critic2 (missing {net!r})"
+                        "population agents must expose TD3's networks "
+                        f"and optimizers (missing {attr!r})"
                     )
             if (
                 agent.state_dim != lead.state_dim
@@ -58,12 +99,17 @@ class PopulationTD3View:
         self.n = len(agents)
         self.state_dim = lead.state_dim
         self.action_dim = lead.action_dim
-        self.actor = StackedSequential([a.actor for a in agents])
-        self.critic1 = StackedSequential([a.critic1 for a in agents])
-        self.critic2 = StackedSequential([a.critic2 for a in agents])
+        for attr in _NETS:
+            setattr(self, attr,
+                    StackedSequential([getattr(a, attr) for a in agents]))
+        for attr in _OPTS:
+            net = getattr(self, attr[: -len("_opt")])
+            setattr(self, attr,
+                    StackedAdam([getattr(a, attr) for a in agents], net))
         # Pooled (n, rows, state+action) critic-input buffers, keyed by
         # candidate count — mirrors the scalar layers' workspace policy.
         self._x: dict[int, np.ndarray] = {}
+        self._blocks: dict[tuple[int, int], _BlockWorkspace] = {}
 
     def members_finite(self) -> np.ndarray:
         """``True`` per member iff its actor and both critics hold only
@@ -127,3 +173,100 @@ class PopulationTD3View:
         q2 = self.critic2.forward(x)
         np.minimum(q1, q2, out=q1)
         return q1[:, :, 0]
+
+    # ------------------------------------------------------------ learning
+
+    def update_block(
+        self, rows: slice, buffers: Sequence, updates: int
+    ) -> list[list[dict]]:
+        """Run ``updates`` TD3 updates for the members in ``rows``.
+
+        ``buffers[j]`` is member ``rows.start + j``'s replay buffer, one
+        that can sample a batch into provided rows.  The members must
+        share ``hp`` (so batch size, learning rates and ``policy_delay``)
+        and their actor phase (``updates_done % policy_delay``).  For
+        update ``k`` each member draws its batch, then its
+        target-smoothing noise, as :meth:`TD3Agent.update` does; only
+        the order across members differs.  Neither the draws nor the
+        updates publish telemetry: the result per member is the list of
+        its updates' ``critic_loss``/``mean_q``/``actor_updated``, for
+        :meth:`TD3Agent.record_update`.
+        """
+        agents = self.agents[rows]
+        hp = agents[0].hp
+        n, batch = len(agents), hp.batch_size
+        ws = self._blocks.get((n, batch))
+        if ws is None:
+            ws = self._blocks[(n, batch)] = _BlockWorkspace(
+                n, batch, self.state_dim, self.action_dim
+            )
+        s = self.state_dim
+        out: list[list[dict]] = [[] for _ in agents]
+        for _ in range(updates):
+            for j, (agent, buffer) in enumerate(zip(agents, buffers)):
+                buffer.sample(batch, out=ws.batches[j], record=False)
+                np.clip(
+                    agent._smooth_rng.normal(
+                        0.0, hp.target_noise_sigma,
+                        size=(batch, self.action_dim),
+                    ),
+                    -hp.target_noise_clip,
+                    hp.target_noise_clip,
+                    out=ws.noise[j],
+                )
+            # Clipped double-Q target with smoothed target actions.
+            next_actions = self.actor_target.forward_rows(
+                ws.xn[:, :, :s], rows, cache=False
+            )
+            np.add(next_actions, ws.noise, out=ws.noise)
+            np.clip(ws.noise, 0.0, 1.0, out=ws.xn[:, :, s:])
+            np.copyto(ws.y, self.critic1_target.forward_rows(
+                ws.xn, rows, cache=False))
+            np.minimum(ws.y, self.critic2_target.forward_rows(
+                ws.xn, rows, cache=False), out=ws.y)
+            ws.y *= hp.gamma
+            np.add(ws.rewards, ws.y, out=ws.y)
+
+            for net, opt, q, td in (
+                (self.critic1, self.critic1_opt, ws.q[0], ws.td[0]),
+                (self.critic2, self.critic2_opt, ws.q[1], ws.td[1]),
+            ):
+                np.copyto(q, net.forward_rows(ws.x, rows))
+                np.subtract(q, ws.y, out=td)
+                np.multiply(td, 2.0 / batch, out=ws.g)
+                net.backward_rows(ws.g, rows, input_grad=False)
+                opt.step_rows(rows)
+
+            td1, td2 = ws.td
+            np.multiply(td1, td1, out=ws.g)
+            np.multiply(td2, td2, out=ws.y)
+            ws.g += ws.y
+            losses = np.add.reduce(ws.g[:, :, 0], axis=1) / batch
+            np.minimum(ws.q[0], ws.q[1], out=ws.g)
+            mean_qs = np.add.reduce(ws.g[:, :, 0], axis=1) / batch
+            for agent in agents:
+                agent.updates_done += 1
+            actor_updated = agents[0].updates_done % hp.policy_delay == 0
+            for j in range(n):
+                out[j].append({
+                    "critic_loss": float(losses[j]) / 2.0,
+                    "mean_q": float(mean_qs[j]),
+                    "actor_updated": actor_updated,
+                })
+            if not actor_updated:
+                continue
+            # The states stay in ``x``; the actor's actions replace the
+            # sampled ones as the critic's input.
+            ws.x[:, :, s:] = self.actor.forward_rows(ws.x[:, :, :s], rows)
+            self.critic1.forward_rows(ws.x, rows)
+            grad_in = self.critic1.backward_rows(
+                ws.actor_grad, rows, params=False
+            )
+            self.actor.backward_rows(grad_in[:, :, s:], rows,
+                                     input_grad=False)
+            self.actor_opt.step_rows(rows)
+            self.critic1.zero_grad_rows(rows)
+            self.actor_target.soft_update_rows(self.actor, rows, hp.tau)
+            self.critic1_target.soft_update_rows(self.critic1, rows, hp.tau)
+            self.critic2_target.soft_update_rows(self.critic2, rows, hp.tau)
+        return out

@@ -160,6 +160,14 @@ class TD3Agent:
             soft_update(self.critic2_target, self.critic2, self.hp.tau)
             diag["actor_updated"] = True
 
+        self.record_update(diag)
+        return diag
+
+    def record_update(self, diag: dict) -> None:
+        """Publish one update's telemetry from its ``critic_loss``,
+        ``mean_q`` and ``actor_updated`` (a stacked population update
+        publishes each member's this way, after the math)."""
+        critic_loss = diag["critic_loss"]
         t = self.telemetry
         t.count("agent.updates_total", help="gradient updates", agent="td3")
         if diag["actor_updated"]:
@@ -181,7 +189,6 @@ class TD3Agent:
             mean_q=diag["mean_q"],
             actor_updated=diag["actor_updated"],
         )
-        return diag
 
     # ------------------------------------------------------------- critics
 

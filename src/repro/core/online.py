@@ -10,11 +10,16 @@ is exhausted, and the best configuration ever found is reported.
 
 The step is split into methods — ``_open`` (session + start state),
 ``_plan`` (guard fallback or exploration sigma), ``_recommend``,
-``_evaluate`` (retries, watchdog), ``_absorb`` (fine-tune, record,
-ledger, counters, events, budget verdict) — so that
+``_evaluate`` (retries, watchdog), and ``_absorb``'s three phases:
+``_push`` (state repair, guard, replay push), ``_fine_tune`` (agent
+updates) and ``_record`` (session record, ledger, counters, events,
+budget verdict) — so that
 :class:`~repro.core.population.PopulationTuner` runs the same code per
-member and batches only the actor pass, the Twin-Q scoring, and the
-first simulator pass.
+member and batches the actor pass, the Twin-Q scoring, the first
+simulator pass and the fine-tune updates.  The data work of a push and
+of an update publishes no telemetry itself (``_note_push``,
+``_note_fine_tune``), so a population can run it for every member first
+and still publish each member's telemetry in the sequential order.
 """
 
 from __future__ import annotations
@@ -408,31 +413,37 @@ class OnlineTuner:
         time_budget_s: float | None,
         member: int | None = None,
     ) -> tuple[np.ndarray, bool]:
-        """Learn from and record one evaluated step.
+        """Learn from and record one evaluated step: :meth:`_push`,
+        :meth:`_fine_tune`, :meth:`_record`.
 
         ``evaluated`` is what :meth:`_evaluate` returned; ``sigma`` is
         :meth:`_plan`'s (``None`` on a guard fallback).  Returns the next
         state and whether the session's time budget is now spent.
         """
-        t = self.telemetry
-        outcome, attempts, extra_cost = evaluated
-        fallback = sigma is None
-        next_state = outcome.next_state
+        next_state, repaired = self._push(evaluated[0], resilience)
+        self._note_push(step, repaired)
+        self._fine_tune()
+        over_budget = self._record(
+            env, session, step, evaluated, diag=diag, sigma=sigma,
+            recommendation_s=recommendation_s, time_budget_s=time_budget_s,
+            member=member,
+        )
+        return next_state, over_budget
+
+    def _push(
+        self, outcome: StepOutcome, resilience: ResiliencePolicy | None
+    ) -> tuple[np.ndarray, int]:
+        """The data half of taking in a step: repair the next state,
+        update the safety guard and push the transition.  Publishes
+        nothing; :meth:`_note_push` does.  Returns the next state and
+        the number of repaired entries."""
+        next_state, repaired = outcome.next_state, 0
         if resilience is not None:
-            next_state, n_repaired = sanitize_state(next_state)
-            if n_repaired:
-                t.count(
-                    "resilience.state_repairs_total",
-                    n_repaired,
-                    help="NaN observation entries repaired",
-                    tuner=self.name,
-                )
-                self._note_intervention("state-repair", step)
+            next_state, repaired = sanitize_state(next_state)
             if resilience.guard is not None:
                 resilience.guard.record(
                     outcome.success, outcome.reward, outcome.action
                 )
-
         if self.buffer is not None:
             self.buffer.push(
                 Transition(
@@ -440,18 +451,67 @@ class OnlineTuner:
                     action=outcome.action,
                     reward=outcome.reward,
                     next_state=next_state,
-                )
+                ),
+                record=False,
             )
-            if self.buffer.can_sample(self.agent.hp.batch_size):
-                with t.span("online.finetune"):
-                    for _ in range(self.fine_tune_updates):
-                        batch = self.buffer.sample(self.agent.hp.batch_size)
-                        d = self.agent.update(batch)
-                        if isinstance(self.buffer, PrioritizedReplayBuffer):
-                            self.buffer.update_priorities(
-                                batch.indices, d["td_errors"]
-                            )
+        return next_state, repaired
 
+    def _note_push(self, step: int, repaired: int) -> None:
+        """The telemetry of :meth:`_push`: state repairs, then the
+        buffer's push telemetry."""
+        if repaired:
+            self.telemetry.count(
+                "resilience.state_repairs_total",
+                repaired,
+                help="NaN observation entries repaired",
+                tuner=self.name,
+            )
+            self._note_intervention("state-repair", step)
+        if self.buffer is not None:
+            self.buffer.record_push()
+
+    def _fine_tune(self) -> None:
+        """``fine_tune_updates`` scalar agent updates on replay samples,
+        once the buffer holds a batch."""
+        buffer, batch_size = self.buffer, self.agent.hp.batch_size
+        if buffer is None or not buffer.can_sample(batch_size):
+            return
+        with self.telemetry.span("online.finetune"):
+            for _ in range(self.fine_tune_updates):
+                batch = buffer.sample(batch_size)
+                d = self.agent.update(batch)
+                if isinstance(buffer, PrioritizedReplayBuffer):
+                    buffer.update_priorities(batch.indices, d["td_errors"])
+
+    def _note_fine_tune(self, updates: list[dict]) -> None:
+        """The telemetry of fine-tune updates that ran elsewhere (a
+        population's stacked block), in :meth:`_fine_tune`'s order: per
+        update the buffer's sample telemetry, then the agent's."""
+        batch_size = self.agent.hp.batch_size
+        with self.telemetry.span("online.finetune"):
+            for diag in updates:
+                self.buffer.record_sample(batch_size)
+                self.agent.record_update(diag)
+
+    def _record(
+        self,
+        env: TuningEnv,
+        session: OnlineSession,
+        step: int,
+        evaluated: tuple[StepOutcome, int, float],
+        *,
+        diag: dict,
+        sigma: float | None,
+        recommendation_s: float,
+        time_budget_s: float | None,
+        member: int | None = None,
+    ) -> bool:
+        """Record one step: session record, ledger, counters, learning
+        diagnostics and the ``online-step`` event.  Returns whether the
+        session's time budget is now spent."""
+        t = self.telemetry
+        outcome, attempts, extra_cost = evaluated
+        fallback = sigma is None
         step_cost_s = float(outcome.duration_s + extra_cost)
         session.add(
             TuningStepRecord(
@@ -534,11 +594,10 @@ class OnlineTuner:
             fallback=fallback,
             faults=list(outcome.faults),
         )
-        over_budget = (
+        return (
             time_budget_s is not None
             and session.total_tuning_seconds >= time_budget_s
         )
-        return next_state, over_budget
 
 
 def record_online_stage(telemetry, tuner: str, session: OnlineSession) -> None:

@@ -3,35 +3,44 @@
 :class:`PopulationTuner` drives N fully independent online tuning
 sessions — each with its own agent, replay buffer, environment, RNG
 streams, and resilience policy — through one lockstep loop that batches
-every *deterministic* tensor computation across the population:
+every tensor computation across the population:
 
 * the greedy actor forward (one stacked ``(N, 1, 9)`` pass),
 * the Twin-Q Optimizer's ``min(Q1, Q2)`` screenings (one stacked pass
   per escalation round, all sessions' candidate fans at once),
 * the configuration evaluation (one shared analytic simulator pass via
-  :class:`~repro.envs.population.VectorTuningEnv`).
+  :class:`~repro.envs.population.VectorTuningEnv`),
+* the fine-tune updates (one stacked TD3 update per block of up to
+  :data:`BLOCK_SIZE` consecutive members, via
+  :meth:`~repro.agents.population.PopulationTD3View.update_block`).
 
-Everything *stochastic* or session-local stays scalar and runs per
-member in member order: exploration noise, Twin-Q candidate draws,
-retries, safety-guard bookkeeping, replay pushes, fine-tune updates,
-record construction, and telemetry.  That per-member work is not a
-copy: it is :class:`~repro.core.online.OnlineTuner`'s own step code
-(``_open``, ``_plan``, ``_evaluate``, ``_absorb``), called once per
-member with the batched results, and the Twin-Q helpers of
-:mod:`repro.core.twinq`.  Because every member owns disjoint
-generator objects, interleaving members across lockstep phases cannot
-reorder any single member's draw sequence — which is the whole
-bit-identity argument, phase by phase:
+Everything *stochastic* or session-local stays per member and runs in
+member order: exploration noise, Twin-Q candidate draws, retries,
+safety-guard bookkeeping, replay pushes and samples, target-smoothing
+noise, record construction, and telemetry.  That per-member work is not
+a copy: it is :class:`~repro.core.online.OnlineTuner`'s own step code
+(``_open``, ``_plan``, ``_evaluate``, and ``_absorb``'s phases
+``_push``, ``_fine_tune``, ``_record``), called once per member with the
+batched results, and the Twin-Q helpers of :mod:`repro.core.twinq`.
+Because every member owns disjoint generator objects, interleaving
+members across lockstep phases cannot reorder any single member's draw
+sequence — which is the whole bit-identity argument, phase by phase:
 
 1. a member's per-step draw order (exploration noise → Twin-Q fan →
    simulator noise/tails → fault perturbation → metric dropout →
-   retries → fine-tune) is preserved exactly, because the lockstep
-   phases run in that order and each phase visits members in order;
+   retries → per update: replay sample, then target-smoothing noise)
+   is preserved exactly, because the lockstep phases run in that order
+   and each phase visits members in order;
 2. the batched tensor math is bit-identical per row to the scalar calls
    (:mod:`repro.nn.population`, :mod:`repro.agents.population`,
    :mod:`repro.envs.population` each pin their own layer of this);
-3. the scalar fine-tune updates write *through* the stacked parameter
-   views, so batched forwards always see the latest per-member weights.
+3. a member that cannot join a block runs its scalar fine-tune, which
+   writes *through* the stacked parameter views, so batched forwards
+   always see the latest per-member weights.
+
+Telemetry keeps the sequential order too: the push and fine-tune data
+work publishes nothing, and each member's push, sample, update and step
+telemetry is published afterwards, member by member.
 
 The one documented divergence is ``recommendation_s``: the population
 measures one batched recommendation wall-clock per lockstep iteration
@@ -53,6 +62,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.agents.population import PopulationTD3View
+from repro.agents.td3 import TD3Agent
 from repro.core.online import OnlineTuner, record_online_stage
 from repro.core.resilience import ResiliencePolicy
 from repro.core.result import OnlineSession
@@ -64,8 +75,15 @@ from repro.core.twinq import (
 )
 from repro.envs.population import VectorTuningEnv
 from repro.envs.tuning_env import TuningEnv
+from repro.replay.rdper import RewardDrivenReplayBuffer
+from repro.replay.uniform import UniformReplayBuffer
 
 __all__ = ["PopulationMember", "PopulationTuner", "population_seed_plan"]
+
+#: members per stacked fine-tune block.  Larger blocks' ``(B, 128, 64)``
+#: temporaries outgrow a 2 MiB L2 (``docs/performance.md``, "Stacked
+#: fine-tune").
+BLOCK_SIZE = 4
 
 
 def population_seed_plan(base_seed: int, n: int) -> list[int]:
@@ -130,8 +148,6 @@ class PopulationTuner:
         self.members = members
         # These validate distinctness and shared shapes/workloads.
         self.venv = VectorTuningEnv([m.env for m in members])
-        from repro.agents.population import PopulationTD3View
-
         self.view = PopulationTD3View([m.tuner.agent for m in members])
         n = len(members)
         self._states = np.zeros((n, self.view.state_dim))
@@ -428,8 +444,9 @@ class PopulationTuner:
     def _lockstep(
         self, step: int, active: list[int], time_budget_s: float | None
     ) -> None:
-        """One population step: batched recommend + evaluate, then each
-        member's :meth:`OnlineTuner._absorb`."""
+        """One population step: batched recommend + evaluate, then the
+        phases of :meth:`OnlineTuner._absorb` — every member's push, the
+        stacked fine-tune blocks, and each member's record."""
         members = self.members
         lead = members[0].tuner.telemetry
         t0 = time.perf_counter()
@@ -491,11 +508,21 @@ class PopulationTuner:
                 for pos, i in enumerate(active)
             ]
 
-        # Per member, in member order: replay push, fine-tune (writes
-        # through the stacked views), record, counters, events.  Sinks
-        # are put in deferred-flush mode for the whole pass, so the round
-        # issues one flush per distinct event log / ledger instead of one
-        # per member (content and order unchanged).
+        # Push: every member's transition into its buffer (data only).
+        pushed = [
+            members[i].tuner._push(evaluated[pos][0], members[i].resilience)
+            for pos, i in enumerate(active)
+        ]
+        # Fine-tune: the stacked blocks (publishing nothing yet).
+        with lead.span("population.finetune", step=step):
+            stacked = self._fine_tune_blocks(active)
+
+        # Record, per member in member order: the push telemetry, the
+        # fine-tune telemetry (or the scalar fine-tune of a member no
+        # block took), the step record, counters and events.  Sinks are
+        # put in deferred-flush mode for the whole pass, so the round
+        # issues one flush per distinct event log / ledger instead of
+        # one per member (content and order unchanged).
         with ExitStack() as flushes:
             seen: set[int] = set()
             for i in active:
@@ -506,9 +533,74 @@ class PopulationTuner:
                         flushes.enter_context(sink.deferred())
             for pos, i in enumerate(active):
                 m = members[i]
-                m.state, m.done = m.tuner._absorb(
-                    m.env, m.session, m.resilience, step, evaluated[pos],
+                m.state, repaired = pushed[pos]
+                m.tuner._note_push(step, repaired)
+                if i in stacked:
+                    m.tuner._note_fine_tune(stacked[i])
+                else:
+                    m.tuner._fine_tune()
+                m.done = m.tuner._record(
+                    m.env, m.session, step, evaluated[pos],
                     diag=diags[i], sigma=sigma[i],
                     recommendation_s=rec_share, time_budget_s=time_budget_s,
                     member=i,
                 )
+
+    def _fine_tune_blocks(self, active: list[int]) -> dict[int, list[dict]]:
+        """Run the fine-tune updates of every member that can join a
+        block, as :meth:`PopulationTD3View.update_block` calls.
+
+        A block is a run of at most :data:`BLOCK_SIZE` consecutive
+        active members that share :func:`_block_key`.  Returns each
+        block member's per-update results for
+        :meth:`OnlineTuner._note_fine_tune`; the other members keep
+        their scalar :meth:`OnlineTuner._fine_tune`.
+        """
+        members = self.members
+        runs: list[list[int]] = []
+        keys: dict[int, tuple] = {}
+        for i in active:
+            key = _block_key(members[i].tuner)
+            if key is None:
+                continue
+            keys[i] = key
+            if keys.get(i - 1) == key and len(runs[-1]) < BLOCK_SIZE:
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+        stacked: dict[int, list[dict]] = {}
+        for run in runs:
+            lead = members[run[0]].tuner
+            updates = self.view.update_block(
+                slice(run[0], run[-1] + 1),
+                [members[i].tuner.buffer for i in run],
+                lead.fine_tune_updates,
+            )
+            stacked.update(zip(run, updates))
+        return stacked
+
+
+def _block_key(tuner: OnlineTuner) -> tuple | None:
+    """What members of one fine-tune block must share, or ``None`` for a
+    member that fine-tunes alone: a TD3 agent whose buffer samples into
+    provided rows and holds a batch, with updates to run.  Block members
+    share the hyper-parameters, the optimizers' settings, the update
+    count and the actor phase."""
+    agent, buffer = tuner.agent, tuner.buffer
+    if (
+        tuner.fine_tune_updates == 0
+        or not isinstance(agent, TD3Agent)
+        or not isinstance(buffer, (RewardDrivenReplayBuffer,
+                                   UniformReplayBuffer))
+        or not buffer.can_sample(agent.hp.batch_size)
+    ):
+        return None
+    return (
+        agent.hp,
+        tuner.fine_tune_updates,
+        agent.updates_done % agent.hp.policy_delay,
+        tuple(
+            (opt.lr, opt.b1, opt.b2, opt.eps, opt.max_grad_norm)
+            for opt in (agent.actor_opt, agent.critic1_opt, agent.critic2_opt)
+        ),
+    )

@@ -51,11 +51,13 @@ import hashlib
 import inspect
 import itertools
 import json
+import multiprocessing
 import os
 import pickle
 import shutil
 import sys
 import tempfile
+import threading
 import time
 import traceback as traceback_module
 import weakref
@@ -1054,11 +1056,48 @@ def _engine_worker_init(blas_threads: int | None) -> None:
         limit_blas_threads(blas_threads)
 
 
+#: Manager threads of pools shut down without waiting, in this process.
+#: A manager thread holds its executor's ``_shutdown_lock`` while it
+#: joins the old workers; a pool that forks in that window hands its
+#: workers the lock held, and a worker whose garbage collector then
+#: frees its copy of the old executor waits on it forever (the
+#: executor's weakref callback takes the lock).  So every new pool first
+#: joins these threads (:func:`_join_discarded_managers`).
+_DISCARDED_MANAGERS: list[threading.Thread] = []
+_DISCARDED_LOCK = threading.Lock()
+#: the longest a new pool waits for discarded managers before forking
+DISCARDED_JOIN_S = 10.0
+
+
+def _discard(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down without waiting; remember its manager thread."""
+    manager = getattr(pool, "_executor_manager_thread", None)
+    pool.shutdown(wait=False, cancel_futures=True)
+    if manager is not None:
+        with _DISCARDED_LOCK:
+            _DISCARDED_MANAGERS.append(manager)
+
+
+def _join_discarded_managers(timeout_s: float = DISCARDED_JOIN_S) -> None:
+    """Join the manager threads of every pool discarded so far (by any
+    engine), waiting at most ``timeout_s`` in all; one still running
+    afterwards is kept for the next pool to wait on."""
+    deadline = time.monotonic() + timeout_s
+    with _DISCARDED_LOCK:
+        managers = list(_DISCARDED_MANAGERS)
+    for manager in managers:
+        manager.join(max(0.0, deadline - time.monotonic()))
+    with _DISCARDED_LOCK:
+        _DISCARDED_MANAGERS[:] = [
+            m for m in _DISCARDED_MANAGERS if m.is_alive()
+        ]
+
+
 def _shutdown_pool_holder(holder: dict) -> None:
     """Weakref finalizer target — must not reference the engine."""
     pool = holder.pop("pool", None)
     if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
+        _discard(pool)
 
 
 class ExperimentEngine:
@@ -1624,12 +1663,17 @@ class ExperimentEngine:
 
         Workers are sized to ``jobs`` (not the current batch) because
         they outlive any one round; each runs :func:`_engine_worker_init`
-        once to pin its BLAS thread pools.
+        once to pin its BLAS thread pools.  They are forked (named, so a
+        Python whose default start method differs still forks), on the
+        first submit, after every discarded pool's manager thread has
+        finished (:data:`_DISCARDED_MANAGERS`).
         """
         pool = self._pool_holder.get("pool")
         if pool is None:
+            _join_discarded_managers()
             pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
+                mp_context=multiprocessing.get_context("fork"),
                 initializer=_engine_worker_init,
                 initargs=(self.blas_threads,),
             )
@@ -1639,7 +1683,7 @@ class ExperimentEngine:
     def _discard_pool(self) -> None:
         pool = self._pool_holder.pop("pool", None)
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            _discard(pool)
 
     def close(self) -> None:
         """Shut down the persistent worker pool (idempotent)."""

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Transition", "ReplayBatch", "RingStorage"]
+__all__ = ["Transition", "ReplayBatch", "RingStorage", "ReplayBuffer"]
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,25 @@ class ReplayBatch:
 
     def __len__(self) -> int:
         return self.states.shape[0]
+
+
+class ReplayBuffer:
+    """The telemetry split every buffer offers.
+
+    ``push`` and ``sample`` publish their telemetry as they run.  With
+    ``record=False`` they only move data, and :meth:`record_push` /
+    :meth:`record_sample` publish the same telemetry later: a population
+    pushes and samples for all its members first, then publishes each
+    member's telemetry in member order.  A buffer without telemetry
+    keeps the no-ops below.
+    """
+
+    def record_push(self) -> None:
+        """Publish what the last ``push(..., record=False)`` held back."""
+
+    def record_sample(self, batch_size: int) -> None:
+        """Publish what one ``sample(batch_size, record=False)`` since the
+        last push held back."""
 
 
 class RingStorage:

@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.replay.base import ReplayBatch, RingStorage, Transition
+from repro.replay.base import (
+    ReplayBatch,
+    ReplayBuffer,
+    RingStorage,
+    Transition,
+)
 from repro.replay.sumtree import SumTree
 
 __all__ = ["PrioritizedReplayBuffer"]
 
 
-class PrioritizedReplayBuffer:
+class PrioritizedReplayBuffer(ReplayBuffer):
     """Proportional-variant PER over a sum-tree."""
 
     def __init__(
@@ -51,8 +56,9 @@ class PrioritizedReplayBuffer:
     def capacity(self) -> int:
         return self._storage.capacity
 
-    def push(self, transition: Transition) -> None:
-        """Insert with max priority so new transitions are seen at least once."""
+    def push(self, transition: Transition, *, record: bool = True) -> None:
+        """Insert with max priority so new transitions are seen at least
+        once (PER publishes no telemetry)."""
         idx = self._storage.push(transition)
         prio = self._tree.max_priority()
         if prio <= 0.0:

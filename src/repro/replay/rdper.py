@@ -16,12 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.replay.base import ReplayBatch, RingStorage, Transition
+from repro.replay.base import (
+    ReplayBatch,
+    ReplayBuffer,
+    RingStorage,
+    Transition,
+)
 
 __all__ = ["RewardDrivenReplayBuffer"]
 
 
-class RewardDrivenReplayBuffer:
+class RewardDrivenReplayBuffer(ReplayBuffer):
     """Dual-pool reward-threshold replay."""
 
     def __init__(
@@ -90,7 +95,7 @@ class RewardDrivenReplayBuffer:
     def capacity(self) -> int:
         return self._high.capacity + self._low.capacity
 
-    def push(self, transition: Transition) -> None:
+    def push(self, transition: Transition, *, record: bool = True) -> None:
         """Route the transition by its reward against ``R_th``."""
         if transition.reward >= self.reward_threshold:
             self._high.push(transition)
@@ -98,6 +103,11 @@ class RewardDrivenReplayBuffer:
         else:
             self._low.push(transition)
             self._pushes_since_high += 1
+        if record:
+            self.record_push()
+
+    def record_push(self) -> None:
+        """Publish the pool-size gauges a push publishes."""
         t = self._telemetry
         t.gauge_set(
             "replay.rdper_high_size", len(self._high),
@@ -119,14 +129,8 @@ class RewardDrivenReplayBuffer:
             )
         return batch
 
-    def sample(self, batch_size: int) -> ReplayBatch:
-        """Draw β·m from P_high and (1−β)·m from P_low.
-
-        When one pool cannot supply its share (early training), the other
-        pool covers the deficit, so the batch size is always honoured.
-        """
-        # All validation happens before any telemetry is emitted, so an
-        # impossible sample never records a realized-beta observation.
+    def _split(self, batch_size: int) -> tuple[int, int]:
+        """``(n_high, n_low)`` of a batch drawn now."""
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if len(self) == 0:
@@ -137,6 +141,39 @@ class RewardDrivenReplayBuffer:
             n_high, n_low = 0, batch_size
         elif len(self._low) == 0:
             n_high, n_low = batch_size, 0
+        return n_high, n_low
+
+    def sample(
+        self,
+        batch_size: int,
+        out: ReplayBatch | None = None,
+        *,
+        record: bool = True,
+    ) -> ReplayBatch:
+        """Draw β·m from P_high and (1−β)·m from P_low.
+
+        When one pool cannot supply its share (early training), the other
+        pool covers the deficit, so the batch size is always honoured.
+        The rows land in ``out`` when it is given, else in a workspace
+        that stays valid until the next sample of the same size.
+        """
+        # All validation happens before any telemetry is emitted, so an
+        # impossible sample never records a realized-beta observation.
+        n_high, n_low = self._split(batch_size)
+        if record:
+            self.record_sample(batch_size)
+        batch = out if out is not None else self._batch_workspace(batch_size)
+        if n_high:
+            idx = self._rng.integers(0, len(self._high), size=n_high)
+            self._high.gather_into_trusted(idx, batch, 0)
+        if n_low:
+            idx = self._rng.integers(0, len(self._low), size=n_low)
+            self._low.gather_into_trusted(idx, batch, n_high)
+        return batch
+
+    def record_sample(self, batch_size: int) -> None:
+        """Publish the realized β and the RDPER diagnostics of a sample."""
+        n_high = self._split(batch_size)[0]
         self._telemetry.observe(
             "replay.rdper_realized_beta",
             n_high / batch_size,
@@ -149,15 +186,6 @@ class RewardDrivenReplayBuffer:
             high_size=len(self._high),
             low_size=len(self._low),
         )
-
-        batch = self._batch_workspace(batch_size)
-        if n_high:
-            idx = self._rng.integers(0, len(self._high), size=n_high)
-            self._high.gather_into_trusted(idx, batch, 0)
-        if n_low:
-            idx = self._rng.integers(0, len(self._low), size=n_low)
-            self._low.gather_into_trusted(idx, batch, n_high)
-        return batch
 
     def can_sample(self, batch_size: int) -> bool:
         return len(self) >= batch_size

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import gc
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +38,20 @@ def _cache_probe(*, run: int, cell: int, seed=0):
         "runs": sorted({key[1] for key in common._MODEL_CACHE
                         if key[0] == "probe"}),
     }
+
+
+#: state a forked pool worker inherits from the test (fork copies it)
+_INHERITED: dict = {}
+
+
+def _fork_probe():
+    """In a new pool's worker: was the discarded pool's shutdown lock
+    free when this worker forked?  Then collect garbage, which frees the
+    worker's copies of discarded executors (their weakref callback takes
+    that lock)."""
+    free = _INHERITED["lock"].acquire(timeout=2.0)
+    gc.collect()
+    return free
 
 
 def _cdf(seed, n=3):
@@ -129,3 +145,39 @@ def test_inline_engine_keeps_the_parent_model_cache():
     finally:
         for k in [k for k in common._MODEL_CACHE if k[0] == "probe"]:
             del common._MODEL_CACHE[k]
+
+
+def test_new_pool_forks_after_discarded_managers_finish():
+    """A pool discarded without waiting still has its manager thread
+    running; while that thread holds the pool's shutdown lock (here a
+    helper thread holds it for a moment), a new pool, even another
+    engine's, must not fork.  Otherwise its workers inherit the lock
+    held and hang in garbage collection."""
+    old = ExperimentEngine(jobs=2)
+    pool = old._ensure_pool()
+    busy = pool.submit(time.sleep, 0.5)
+    while not busy.running():
+        time.sleep(0.01)
+    _INHERITED["lock"] = lock = pool._shutdown_lock
+    del pool
+    old.close()  # the manager waits on the sleeping worker, then the lock
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with lock:
+            held.set()
+            release.wait(1.0)
+
+    helper = threading.Thread(target=hold)
+    helper.start()
+    held.wait()
+    new = ExperimentEngine(jobs=2)
+    try:
+        fresh = new._ensure_pool()
+        probes = [fresh.submit(_fork_probe) for _ in range(2)]
+        assert [f.result(timeout=30) for f in probes] == [True, True]
+    finally:
+        release.set()
+        helper.join()
+        ExperimentEngine._kill_workers(new._pool_holder["pool"])
+        new.close()
