@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument(
         "--shards", type=int, default=1, metavar="K",
         help="step the population across K spawned worker processes "
-             "(requires --population or a population checkpoint); "
+             "(a single session always runs in-process); "
              "results are bit-identical to --shards 1",
     )
     p_tune.add_argument(
@@ -602,63 +602,70 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _print_session(session) -> None:
-    for step in session.steps:
-        status = "ok" if step.success else "FAILED"
-        extras = []
-        if step.attempts > 1:
-            extras.append(f"{step.attempts} attempts")
-        if step.aborted:
-            extras.append("watchdog-abort")
-        if step.fallback:
-            extras.append("fallback")
-        if step.faults:
-            extras.append("faults: " + ",".join(step.faults))
-        suffix = f" [{'; '.join(extras)}]" if extras else ""
-        print(
-            f"step {step.step + 1}: {step.duration_s:8.1f}s "
-            f"(reward {step.reward:+.2f}, {status}){suffix}"
-        )
-    if any(s.success for s in session.steps):
-        print(
-            f"best {session.best_duration_s:.1f}s "
-            f"({session.speedup_over_default:.2f}x over default), "
-            f"total tuning cost {session.total_tuning_seconds:.1f}s"
-        )
-    else:
-        print(
-            "no successful step in session; "
-            f"total tuning cost {session.total_tuning_seconds:.1f}s"
-        )
+def _print_sessions(sessions, numbered: bool) -> None:
+    for i, session in enumerate(sessions):
+        if numbered:
+            print(f"--- session {i + 1}/{len(sessions)} ---")
+        for step in session.steps:
+            status = "ok" if step.success else "FAILED"
+            extras = []
+            if step.attempts > 1:
+                extras.append(f"{step.attempts} attempts")
+            if step.aborted:
+                extras.append("watchdog-abort")
+            if step.fallback:
+                extras.append("fallback")
+            if step.faults:
+                extras.append("faults: " + ",".join(step.faults))
+            suffix = f" [{'; '.join(extras)}]" if extras else ""
+            print(
+                f"step {step.step + 1}: {step.duration_s:8.1f}s "
+                f"(reward {step.reward:+.2f}, {status}){suffix}"
+            )
+        if any(s.success for s in session.steps):
+            print(
+                f"best {session.best_duration_s:.1f}s "
+                f"({session.speedup_over_default:.2f}x over default), "
+                f"total tuning cost {session.total_tuning_seconds:.1f}s"
+            )
+        else:
+            print(
+                "no successful step in session; "
+                f"total tuning cost {session.total_tuning_seconds:.1f}s"
+            )
 
 
-def _tune_population(args, ck) -> int:
-    """Serve ``--population`` sessions, or resume the population
-    checkpoint ``ck`` already loaded from ``--resume``."""
-    from repro.core.persistence import PopulationCheckpointManager
-    from repro.core.population import PopulationTuner, population_seed_plan
+def _cmd_tune(args) -> int:
+    """Serve one session or a ``--population``, or resume the members of
+    the ``--resume`` checkpoint.  One member runs the sequential loop;
+    more run in lockstep, across ``--shards`` worker processes when K > 1.
+    """
+    from repro.core.persistence import (
+        PopulationCheckpointManager,
+        load_population_checkpoint,
+    )
     from repro.core.resilience import ResiliencePolicy
 
-    if ck is not None:
+    if args.resume is None and args.model is None:
+        print("tune: either --model or --resume is required",
+              file=sys.stderr)
+        return 2
+    if args.resume is not None:
+        ck = load_population_checkpoint(args.resume)
         tuners, envs, sessions = ck.tuners, ck.envs, ck.sessions
         start_steps, resiliences = ck.next_steps, ck.resiliences
+        # keep snapshotting into the same file unless redirected
         ckpt_path = args.checkpoint if args.checkpoint else args.resume
-        if min(start_steps) >= args.steps:
-            print(f"nothing to do: {args.resume} already has "
-                  f"{min(start_steps)} step(s) in every session")
-            for i, session in enumerate(sessions):
-                print(f"--- session {i + 1}/{len(sessions)} ---")
-                _print_session(session)
-            return 0
-        print(
-            f"resuming population of {len(tuners)} from {args.resume} "
-            f"at step {min(start_steps) + 1}/{args.steps}"
-        )
     else:
-        if args.population < 1:
+        if args.population is None:
+            seeds = [args.seed]
+        elif args.population < 1:
             print("tune: --population must be >= 1", file=sys.stderr)
             return 2
-        seeds = population_seed_plan(args.seed, args.population)
+        else:
+            from repro.core.population import population_seed_plan
+
+            seeds = population_seed_plan(args.seed, args.population)
         tuners = [load_tuner(args.model, seed=s) for s in seeds]
         envs = [
             make_env(args.workload, args.dataset,
@@ -666,6 +673,8 @@ def _tune_population(args, ck) -> int:
                      fault_profile=args.fault_profile)
             for s in seeds
         ]
+        # Resilience rides along with chaos: a fault-free tune keeps the
+        # historical single-attempt behaviour unless faults are injected.
         resiliences = [
             ResiliencePolicy.default(seed=s)
             if args.fault_profile != "none" and not args.no_resilience
@@ -675,6 +684,20 @@ def _tune_population(args, ck) -> int:
         sessions = [None] * len(seeds)
         start_steps = [0] * len(seeds)
         ckpt_path = args.checkpoint
+    numbered = args.population is not None or len(tuners) > 1
+    if args.resume is not None:
+        done = min(start_steps)
+        if done >= args.steps:
+            print(f"nothing to do: {args.resume} already has {done} step(s)"
+                  + (" in every session" if numbered else ""))
+            _print_sessions(sessions, numbered)
+            return 0
+        what = (
+            f"population of {len(tuners)}" if numbered
+            else f"{sessions[0].workload}-{sessions[0].dataset}"
+        )
+        print(f"resuming {what} from {args.resume} "
+              f"at step {done + 1}/{args.steps}")
     for tuner in tuners:
         _apply_twinq_flags(args, tuner)
     checkpoint = (
@@ -685,11 +708,11 @@ def _tune_population(args, ck) -> int:
         if ckpt_path
         else None
     )
-    shards = getattr(args, "shards", 1)
-    if shards < 1:
+    if numbered and args.shards < 1:
         print("tune: --shards must be >= 1", file=sys.stderr)
         return 2
-    if shards > 1 and getattr(args, "ledger", None):
+    sharded = len(tuners) > 1 and args.shards > 1
+    if sharded and args.ledger:
         print(
             "tune: note: --ledger records only parent-side costs under "
             "--shards (worker telemetry is process-local)",
@@ -698,17 +721,23 @@ def _tune_population(args, ck) -> int:
     ctx = _telemetry_context(args, kind="online-tune", total_steps=args.steps)
     with _sigterm_as_interrupt(), _profiled(args):
         try:
-            if shards > 1:
+            if len(tuners) == 1:
+                sessions = [tuners[0].tune_online(
+                    envs[0], steps=args.steps, time_budget_s=args.time_budget,
+                    telemetry=ctx, resilience=resiliences[0],
+                    session=sessions[0], start_step=start_steps[0],
+                    checkpoint=checkpoint,
+                )]
+            elif sharded:
                 from repro.parallel import ShardCrash, ShardedPopulation
 
                 population = ShardedPopulation(
-                    tuners, envs, shards=shards, telemetry=ctx,
+                    tuners, envs, shards=args.shards, telemetry=ctx,
                     resiliences=resiliences, sessions=sessions,
-                    start_steps=start_steps,
-                    blas_threads=getattr(args, "blas_threads", 1),
+                    start_steps=start_steps, blas_threads=args.blas_threads,
                 )
                 try:
-                    results = population.tune(
+                    sessions = population.tune(
                         steps=args.steps, time_budget_s=args.time_budget,
                         checkpoint=checkpoint,
                     )
@@ -724,106 +753,26 @@ def _tune_population(args, ck) -> int:
                     _finalize_heartbeat(args, "crashed")
                     return 1
             else:
-                population = PopulationTuner.from_deepcat(
+                from repro.core.population import PopulationTuner
+
+                sessions = PopulationTuner.from_deepcat(
                     tuners, envs, telemetry=ctx, resiliences=resiliences,
                     sessions=sessions, start_steps=start_steps,
-                )
-                results = population.tune(
+                ).tune(
                     steps=args.steps, time_budget_s=args.time_budget,
                     checkpoint=checkpoint,
                 )
         except KeyboardInterrupt:
             print("\ninterrupted", end="")
             if checkpoint is not None:
-                print(f": population checkpointed to {checkpoint.path}; "
+                what = "population" if numbered else "session"
+                print(f": {what} checkpointed to {checkpoint.path}; "
                       f"resume with --resume {checkpoint.path}", end="")
             print()
             _finish_interrupted(ctx, "online-tune")
             _finalize_heartbeat(args, "interrupted")
             return _INTERRUPTED_RC
-    for i, session in enumerate(results):
-        print(f"--- session {i + 1}/{len(results)} ---")
-        _print_session(session)
-    _finish_telemetry(ctx)
-    _finalize_heartbeat(args, "completed")
-    return 0
-
-
-def _cmd_tune(args) -> int:
-    from repro.core.persistence import (
-        CheckpointManager,
-        PopulationCheckpoint,
-        load_any_checkpoint,
-    )
-    from repro.core.resilience import ResiliencePolicy
-
-    if args.resume is None and args.model is None:
-        print("tune: either --model or --resume is required",
-              file=sys.stderr)
-        return 2
-    ckpt = (
-        load_any_checkpoint(args.resume) if args.resume is not None else None
-    )
-    if isinstance(ckpt, PopulationCheckpoint) or (
-        ckpt is None and args.population is not None
-    ):
-        return _tune_population(args, ckpt)
-    if ckpt is not None:
-        tuner, env = ckpt.tuner, ckpt.env
-        session, start_step = ckpt.session, ckpt.next_step
-        resilience = ckpt.resilience
-        # keep snapshotting into the same file unless redirected
-        ckpt_path = args.checkpoint if args.checkpoint else args.resume
-        if start_step >= args.steps:
-            print(f"nothing to do: {args.resume} already has "
-                  f"{start_step} step(s)")
-            _print_session(session)
-            return 0
-        print(
-            f"resuming {session.workload}-{session.dataset} from "
-            f"{args.resume} at step {start_step + 1}/{args.steps}"
-        )
-    else:
-        tuner = load_tuner(args.model, seed=args.seed)
-        env = make_env(args.workload, args.dataset,
-                       cluster=_CLUSTERS[args.cluster], seed=1000 + args.seed,
-                       fault_profile=args.fault_profile)
-        session, start_step = None, 0
-        # Resilience rides along with chaos: a fault-free tune keeps the
-        # historical single-attempt behaviour unless faults are injected.
-        resilience = (
-            ResiliencePolicy.default(seed=args.seed)
-            if args.fault_profile != "none" and not args.no_resilience
-            else None
-        )
-        ckpt_path = args.checkpoint
-    _apply_twinq_flags(args, tuner)
-    checkpoint = (
-        CheckpointManager(
-            ckpt_path, tuner, env, resilience=resilience,
-            every=args.checkpoint_every,
-        )
-        if ckpt_path
-        else None
-    )
-    ctx = _telemetry_context(args, kind="online-tune", total_steps=args.steps)
-    with _sigterm_as_interrupt(), _profiled(args):
-        try:
-            session = tuner.tune_online(
-                env, steps=args.steps, time_budget_s=args.time_budget,
-                telemetry=ctx, resilience=resilience, session=session,
-                start_step=start_step, checkpoint=checkpoint,
-            )
-        except KeyboardInterrupt:
-            print("\ninterrupted", end="")
-            if checkpoint is not None:
-                print(f": session checkpointed to {checkpoint.path}; "
-                      f"resume with --resume {checkpoint.path}", end="")
-            print()
-            _finish_interrupted(ctx, "online-tune")
-            _finalize_heartbeat(args, "interrupted")
-            return _INTERRUPTED_RC
-    _print_session(session)
+    _print_sessions(sessions, numbered)
     _finish_telemetry(ctx)
     _finalize_heartbeat(args, "completed")
     return 0

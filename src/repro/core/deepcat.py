@@ -151,7 +151,8 @@ class DeepCAT:
         guard.  ``session``/``start_step``/``checkpoint`` resume and
         snapshot crash-recoverable sessions — see
         :meth:`~repro.core.online.OnlineTuner.tune` and
-        :class:`~repro.core.persistence.CheckpointManager`.
+        :class:`~repro.core.persistence.PopulationCheckpointManager`,
+        which checkpoints a session as a population of one.
         """
         tuner = self.online_tuner(
             env,

@@ -328,9 +328,10 @@ class OnlineTuner:
         restored session and the next step index (which must equal
         ``len(session.steps)``); the loop continues from there as if it
         had never stopped.  ``checkpoint`` is a
-        :class:`~repro.core.persistence.CheckpointManager` to snapshot
-        after each step; on ``KeyboardInterrupt`` a final checkpoint is
-        written before the interrupt propagates.
+        :class:`~repro.core.persistence.PopulationCheckpointManager` over
+        this one member (``[tuner]``, ``[env]``), snapshotting the session
+        as a population of one at its cadence; on ``KeyboardInterrupt`` a
+        final checkpoint is written before the interrupt propagates.
         """
         if steps <= 0:
             raise ValueError("steps must be positive")
@@ -384,7 +385,7 @@ class OnlineTuner:
                             time_budget_s=time_budget_s,
                         )
                         if checkpoint is not None:
-                            checkpoint.on_step(session, step + 1)
+                            checkpoint.on_step([session], step + 1)
                         if over_budget:
                             break
         except KeyboardInterrupt:
@@ -395,7 +396,7 @@ class OnlineTuner:
             # mid-step with RNG streams advanced for the in-flight
             # recommendation, and those must not overwrite clean state.
             if checkpoint is not None:
-                checkpoint.save_if_stale(session, len(session.steps))
+                checkpoint.save_if_stale([session], [len(session.steps)])
             raise
         return session
 

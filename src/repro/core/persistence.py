@@ -19,12 +19,16 @@ buffers are deliberately *not* persisted in *model* archives: a fresh
 request starts fine-tuning from the offline weights, and the paper's
 online stage only pushes new transitions.
 
-Session *checkpoints* are the opposite: they freeze an in-flight online
-tuning session completely — agent weights, RDPER P_high/P_low pools,
-every RNG state, the environment (cluster tracker + simulator + fault
-injector), the resilience policy's streak state, and the step counter —
-so a killed session resumed with ``repro tune --resume`` replays
-bit-identically to one that was never interrupted.
+Session *checkpoints* are the opposite: they freeze in-flight online
+tuning sessions completely — per member, agent weights, RDPER
+P_high/P_low pools, every RNG state, the environment (cluster tracker +
+simulator + fault injector), the resilience policy's streak state, and
+the step counter — so a killed run resumed with ``repro tune --resume``
+replays bit-identically to one that was never interrupted.  There is one
+checkpoint payload, a list of members: a single session is a population
+of one, and :class:`PopulationCheckpointManager` snapshots it, a
+lockstep population and a sharded one alike.  Single-session payloads
+written by earlier builds still load, as a population of one.
 
 Models and snapshots alike are written atomically (tmp file in the same
 directory + ``os.replace``), so a kill mid-write never corrupts the
@@ -52,21 +56,18 @@ from repro.core.deepcat import DeepCAT
 __all__ = [
     "save_tuner",
     "load_tuner",
-    "SessionCheckpoint",
-    "save_checkpoint",
-    "load_checkpoint",
-    "CheckpointManager",
     "PopulationCheckpoint",
     "save_population_checkpoint",
     "load_population_checkpoint",
-    "load_any_checkpoint",
     "PopulationCheckpointManager",
 ]
 
 _FORMAT_VERSION = 2
 #: per-tensor compressed members; read-only since format 2
 _LEGACY_FORMAT_VERSION = 1
-_CHECKPOINT_VERSION = 1
+#: single-session payloads; read-only since a session checkpoints as a
+#: population of one
+_SESSION_CHECKPOINT_VERSION = 1
 _POPULATION_CHECKPOINT_VERSION = 1
 
 _TD3_NETS = (
@@ -235,20 +236,25 @@ def load_tuner(path: str | Path, seed: int = 0):
 
 
 @dataclass
-class SessionCheckpoint:
-    """A frozen in-flight online tuning session.
+class PopulationCheckpoint:
+    """Frozen in-flight online tuning sessions; a single session is a
+    population of one.
 
-    ``next_step`` is the index of the first step *not yet executed*
-    (always ``len(session.steps)``); resuming means calling
-    ``tuner.tune_online(env, steps=total, session=session,
-    start_step=next_step, resilience=resilience)``.
+    Parallel per-member lists; ``next_steps[i]`` is the first step member
+    ``i`` has not yet executed (``len(sessions[i].steps)``).  A member
+    resumes alone through ``tuners[i].tune_online(envs[i], steps=total,
+    session=sessions[i], start_step=next_steps[i],
+    resilience=resiliences[i])``, and a population through
+    ``PopulationTuner.from_deepcat(tuners, envs, sessions=sessions,
+    start_steps=next_steps, resiliences=resiliences)`` and ``tune`` with
+    the original total step count.
     """
 
-    tuner: Any
-    env: Any
-    session: Any
-    next_step: int
-    resilience: Any = None
+    tuners: list
+    envs: list
+    sessions: list
+    next_steps: list[int]
+    resiliences: list
 
 
 def _telemetry_attachment_points(tuner, env):
@@ -289,97 +295,6 @@ def _telemetry_detached(tuner, env):
             setattr(obj, attr, value)
 
 
-def save_checkpoint(
-    path: str | Path,
-    *,
-    tuner,
-    env,
-    session,
-    next_step: int,
-    resilience=None,
-) -> Path:
-    """Atomically snapshot an in-flight tuning session to ``path``.
-
-    The tmp-file + ``os.replace`` dance guarantees the file at ``path``
-    is always a complete checkpoint — a kill during the write leaves the
-    previous snapshot intact.
-    """
-    path = Path(path)
-    payload = {
-        "checkpoint_version": _CHECKPOINT_VERSION,
-        "tuner": tuner,
-        "env": env,
-        "session": session,
-        "next_step": int(next_step),
-        "resilience": resilience,
-    }
-    with _telemetry_detached(tuner, env):
-        _write_atomic(path, lambda fh: pickle.dump(
-            payload, fh, protocol=pickle.HIGHEST_PROTOCOL))
-    return path
-
-
-class _CheckpointUnpickler(pickle.Unpickler):
-    """Reads checkpoints of every earlier version.
-
-    Checkpoints written before the phase profiler was removed carry the
-    detached null context with its null profiler.  Nothing reads that
-    object after a restore, so it loads as a plain ``object``.
-    """
-
-    def find_class(self, module: str, name: str) -> Any:
-        if module == "repro.telemetry.profiling":
-            return object
-        return super().find_class(module, name)
-
-
-def _read_payload(path: str | Path) -> dict:
-    with open(Path(path), "rb") as fh:
-        return _CheckpointUnpickler(fh).load()
-
-
-def load_checkpoint(path: str | Path) -> SessionCheckpoint:
-    """Restore a session snapshot written by :func:`save_checkpoint`.
-
-    Telemetry comes back as the null context; reattach a live
-    :class:`~repro.telemetry.context.RunContext` by passing it to
-    ``tune_online`` as usual.
-    """
-    return _session_checkpoint(_read_payload(path))
-
-
-def _session_checkpoint(payload: dict) -> SessionCheckpoint:
-    version = payload.get("checkpoint_version")
-    if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    return SessionCheckpoint(
-        tuner=payload["tuner"],
-        env=payload["env"],
-        session=payload["session"],
-        next_step=payload["next_step"],
-        resilience=payload["resilience"],
-    )
-
-
-@dataclass
-class PopulationCheckpoint:
-    """A frozen in-flight *population* of online tuning sessions.
-
-    Parallel per-member lists; ``next_steps[i]`` is the first step member
-    ``i`` has not yet executed (``len(sessions[i].steps)``).  Resuming
-    means rebuilding the population via
-    ``PopulationTuner.from_deepcat(tuners, envs, sessions=sessions,
-    start_steps=next_steps, resiliences=resiliences)`` and calling
-    ``tune`` with the original total step count.
-    """
-
-    tuners: list
-    envs: list
-    sessions: list
-    next_steps: list[int]
-    resiliences: list
-
-
 def save_population_checkpoint(
     path: str | Path,
     *,
@@ -389,13 +304,13 @@ def save_population_checkpoint(
     next_steps,
     resiliences=None,
 ) -> Path:
-    """Atomically snapshot an in-flight population to one file.
+    """Atomically snapshot in-flight sessions to one file.
 
-    Same guarantees as :func:`save_checkpoint` (tmp + ``os.replace``,
-    telemetry detached from every member's object graph); each member's
-    tuner/env/session is pickled exactly as its scalar checkpoint would
-    be, so a restored member resumes bit-identically whether it rejoins
-    a population or continues alone.
+    The tmp-file + ``os.replace`` dance guarantees the file at ``path``
+    is always a complete checkpoint — a kill during the write leaves the
+    previous snapshot intact.  Live telemetry is detached from every
+    member's object graph while it pickles, so a restored member resumes
+    bit-identically whether it rejoins a population or continues alone.
     """
     path = Path(path)
     tuners = list(tuners)
@@ -433,19 +348,43 @@ def save_population_checkpoint(
     return path
 
 
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Reads checkpoints of every earlier version.
+
+    Checkpoints written before the phase profiler was removed carry the
+    detached null context with its null profiler.  Nothing reads that
+    object after a restore, so it loads as a plain ``object``.
+    """
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == "repro.telemetry.profiling":
+            return object
+        return super().find_class(module, name)
+
+
 def load_population_checkpoint(path: str | Path) -> PopulationCheckpoint:
-    """Restore a population snapshot written by
-    :func:`save_population_checkpoint`."""
-    return _population_checkpoint(_read_payload(path))
+    """Restore a snapshot written by :func:`save_population_checkpoint`.
 
-
-def _population_checkpoint(payload: dict) -> PopulationCheckpoint:
-    version = payload.get("population_checkpoint_version")
-    if version != _POPULATION_CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported population checkpoint version {version}"
-        )
-    members = payload["members"]
+    A single-session payload (``checkpoint_version``, written before a
+    session checkpointed as a population of one) loads as a population
+    of one.  Telemetry comes back as the null context; reattach a live
+    :class:`~repro.telemetry.context.RunContext` by passing it to
+    ``tune_online`` or the population as usual.
+    """
+    with open(Path(path), "rb") as fh:
+        payload = _CheckpointUnpickler(fh).load()
+    if "population_checkpoint_version" in payload:
+        version = payload["population_checkpoint_version"]
+        if version != _POPULATION_CHECKPOINT_VERSION:
+            raise ValueError(
+                f"unsupported population checkpoint version {version}"
+            )
+        members = payload["members"]
+    else:
+        version = payload.get("checkpoint_version")
+        if version != _SESSION_CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        members = [payload]  # its keys are a member's
     return PopulationCheckpoint(
         tuners=[m["tuner"] for m in members],
         envs=[m["env"] for m in members],
@@ -455,23 +394,14 @@ def _population_checkpoint(payload: dict) -> PopulationCheckpoint:
     )
 
 
-def load_any_checkpoint(
-    path: str | Path,
-) -> SessionCheckpoint | PopulationCheckpoint:
-    """Restore whichever snapshot ``path`` holds, unpickling it once."""
-    payload = _read_payload(path)
-    if "population_checkpoint_version" in payload:
-        return _population_checkpoint(payload)
-    return _session_checkpoint(payload)
-
-
 class PopulationCheckpointManager:
-    """Periodic population checkpointer handed to ``PopulationTuner.tune``.
+    """Periodic checkpointer handed to ``OnlineTuner.tune`` (a population
+    of one), ``PopulationTuner.tune`` and ``ShardedPopulation.tune``.
 
-    ``every`` is the snapshot cadence in *lockstep* iterations.
-    ``on_step`` receives the per-member sessions and the lockstep index
-    just completed; ``save`` writes unconditionally (final snapshot on
-    interrupt).
+    ``every`` is the snapshot cadence in *lockstep* iterations (1 = after
+    every step).  ``on_step`` receives the per-member sessions and the
+    number of lockstep iterations completed; ``save`` writes
+    unconditionally (final snapshot on interrupt).
     """
 
     def __init__(self, path: str | Path, tuners, envs, resiliences=None,
@@ -506,7 +436,7 @@ class PopulationCheckpointManager:
 
     def save_if_stale(self, sessions, next_steps) -> Path | None:
         """Final snapshot on interrupt — but only when it would add
-        progress.  An interrupt lands mid-lockstep, *after* the members'
+        progress.  An interrupt lands mid-step, *after* the members'
         RNG streams advanced for the in-flight step; overwriting a clean
         boundary snapshot of the same progress with those dirty streams
         would break resume bit-identity.
@@ -515,61 +445,14 @@ class PopulationCheckpointManager:
             return None
         return self.save(sessions, next_steps)
 
+    def due(self, next_step: int) -> bool:
+        """Whether the cadence snapshots once ``next_step`` lockstep
+        iterations are complete."""
+        return next_step % self.every == 0
+
     def on_step(self, sessions, next_step: int) -> Path | None:
-        if next_step % self.every == 0:
+        if self.due(next_step):
             return self.save(
                 sessions, [len(s.steps) for s in sessions]
             )
-        return None
-
-
-class CheckpointManager:
-    """Periodic checkpointer handed to ``OnlineTuner.tune``.
-
-    ``every`` controls the snapshot cadence in steps (1 = after every
-    step).  ``on_step`` is called by the tuning loop with the session
-    and the next step index; ``save`` writes unconditionally (used for
-    the final snapshot on interrupt).
-    """
-
-    def __init__(self, path: str | Path, tuner, env, resilience=None,
-                 every: int = 1):
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        self.path = Path(path)
-        self.tuner = tuner
-        self.env = env
-        self.resilience = resilience
-        self.every = every
-        self.saves = 0
-        #: progress of the newest on-disk snapshot (None = nothing saved)
-        self.saved_next_step: int | None = None
-
-    def save(self, session, next_step: int) -> Path:
-        self.saves += 1
-        path = save_checkpoint(
-            self.path,
-            tuner=self.tuner,
-            env=self.env,
-            session=session,
-            next_step=next_step,
-            resilience=self.resilience,
-        )
-        self.saved_next_step = next_step
-        return path
-
-    def save_if_stale(self, session, next_step: int) -> Path | None:
-        """Final snapshot on interrupt — skipped when the cadence already
-        persisted this progress.  The interrupt lands mid-step, after the
-        tuner's RNG advanced for the in-flight recommendation, so
-        rewriting an existing clean-boundary snapshot would trade a
-        resumable bit-identical state for a dirty one.
-        """
-        if self.saved_next_step == next_step:
-            return None
-        return self.save(session, next_step)
-
-    def on_step(self, session, next_step: int) -> Path | None:
-        if next_step % self.every == 0:
-            return self.save(session, next_step)
         return None

@@ -53,7 +53,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
-from repro.parallel.pinning import blas_env, limit_blas_threads, shard_plan
+from repro.parallel.pinning import blas_env, shard_plan
 
 __all__ = ["ShardCrash", "ShardStats", "ShardedPopulation"]
 
@@ -135,7 +135,7 @@ def _snapshot_bytes(payload, members) -> bytes:
     )
 
 
-def _shard_worker_main(conn, blas_threads: int, lo: int, steps: int) -> None:
+def _shard_worker_main(conn, lo: int, steps: int) -> None:
     """Entry point of one shard worker (spawn start method).
 
     Protocol (all messages are tuples, parent → worker):
@@ -153,7 +153,6 @@ def _shard_worker_main(conn, blas_threads: int, lo: int, steps: int) -> None:
     drains the in-flight round and shuts workers down explicitly.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    limit_blas_threads(blas_threads)
     from repro.core.population import PopulationTuner
 
     try:
@@ -303,7 +302,7 @@ class ShardedPopulation:
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_shard_worker_main,
-                    args=(child_conn, self.blas_threads, lo, steps),
+                    args=(child_conn, lo, steps),
                     name=f"repro-shard-{s}",
                     daemon=True,
                 )
@@ -462,9 +461,8 @@ class ShardedPopulation:
                         )
                     tail0 = time.perf_counter()
                     self._emit_round(step, replies, round_wall)
-                    if stepped and checkpoint is not None and (
-                        (step + 1) % checkpoint.every == 0
-                    ):
+                    if (stepped and checkpoint is not None
+                            and checkpoint.due(step + 1)):
                         self._checkpoint(checkpoint)
                     self.stats.tail_s += time.perf_counter() - tail0
                     if all(s == "complete" for s in statuses):

@@ -49,6 +49,7 @@ Like every other telemetry pillar the ledger is a pure observer: a run with
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -56,6 +57,8 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable
+
+from .bus import iter_jsonl_lenient
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -390,33 +393,27 @@ def load_ledger(path: str | Path) -> LedgerView:
     """Load a ledger JSONL file, validating the schema header if present.
 
     Malformed lines are skipped (a crashed writer may leave a torn tail);
-    a header carrying a different schema string is an error.
+    a missing file, or a header carrying a different schema string, is an
+    error.
     """
     path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(
+            errno.ENOENT, os.strerror(errno.ENOENT), str(path)
+        )
     entries: list[dict[str, Any]] = []
     source = "?"
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            if record.get("kind") == "ledger-header":
-                schema = record.get("schema")
-                if schema != LEDGER_SCHEMA:
-                    raise ValueError(
-                        f"{path}: unsupported ledger schema {schema!r} "
-                        f"(expected {LEDGER_SCHEMA!r})"
-                    )
-                source = str(record.get("source", source))
-                continue
-            if record.get("kind") in ("charge", "counterfactual"):
-                entries.append(record)
+    for record in iter_jsonl_lenient(path):
+        if record.get("kind") == "ledger-header":
+            schema = record.get("schema")
+            if schema != LEDGER_SCHEMA:
+                raise ValueError(
+                    f"{path}: unsupported ledger schema {schema!r} "
+                    f"(expected {LEDGER_SCHEMA!r})"
+                )
+            source = str(record.get("source", source))
+        elif record.get("kind") in ("charge", "counterfactual"):
+            entries.append(record)
     return LedgerView(entries, source=source, path=path)
 
 

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG management, statistics, tables, serialization."""
+"""Shared utilities: RNG management, statistics, tables."""
 
 from repro.utils.rng import RngFactory, as_generator, spawn_generators
 from repro.utils.stats import (

@@ -16,10 +16,9 @@ from repro.agents.base import AgentHyperParams
 from repro.cli import main
 from repro.core.deepcat import DeepCAT
 from repro.core.persistence import (
-    CheckpointManager,
-    load_checkpoint,
+    PopulationCheckpointManager,
     load_population_checkpoint,
-    save_checkpoint,
+    save_population_checkpoint,
 )
 from repro.core.population import PopulationTuner
 from repro.core.resilience import ResiliencePolicy
@@ -78,14 +77,16 @@ class TestCheckpointsWithLayerScratch:
 
     ``tests/data/{session,population}_with_scratch.ckpt.xz`` hold the
     ``xz -9e`` bytes of the two files this wrote, with the layers and
-    optimizers of that time pickling their whole ``__dict__``::
+    optimizers of that time pickling their whole ``__dict__``.  The
+    session file holds the single-session payload of that time
+    (``checkpoint_version`` 1), which loads as a population of one::
 
         tuner, env = _small_trained(7), _hostile_env(11)
         res = ResiliencePolicy.default(seed=5)
         tuner.tune_online(env, steps=3, resilience=res,
-                          checkpoint=CheckpointManager(
-                              "session_with_scratch.ckpt", tuner, env,
-                              resilience=res))
+                          checkpoint=PopulationCheckpointManager(
+                              "session_with_scratch.ckpt", [tuner], [env],
+                              resiliences=[res]))
 
         tuners = [_small_trained(7), _small_trained(8)]
         envs = [_hostile_env(11), _hostile_env(12)]
@@ -100,19 +101,38 @@ class TestCheckpointsWithLayerScratch:
     STEPS = 6
     SEEDS = ((7, 11, 5), (8, 12, 6))  # tuner, environment, resilience
 
-    def test_session_resumes_bit_identically(self, tmp_path):
-        ck = load_checkpoint(_unpacked("session_with_scratch.ckpt", tmp_path))
-        assert ck.next_step == 3
-        resumed = ck.tuner.tune_online(
-            ck.env, steps=self.STEPS, resilience=ck.resilience,
-            session=ck.session, start_step=ck.next_step,
-        )
-        full = _small_trained(7).tune_online(
+    def _full_session(self):
+        return _small_trained(7).tune_online(
             _hostile_env(11), steps=self.STEPS,
             resilience=ResiliencePolicy.default(seed=5),
         )
+
+    def test_session_resumes_bit_identically(self, tmp_path):
+        ck = load_population_checkpoint(
+            _unpacked("session_with_scratch.ckpt", tmp_path)
+        )
+        assert ck.next_steps == [3]
+        resumed = ck.tuners[0].tune_online(
+            ck.envs[0], steps=self.STEPS, resilience=ck.resiliences[0],
+            session=ck.sessions[0], start_step=ck.next_steps[0],
+        )
         assert len(resumed.steps) == self.STEPS
-        assert sessions_equal(resumed, full)
+        assert sessions_equal(resumed, self._full_session())
+
+    def test_session_resumes_through_cli(self, tmp_path, capsys):
+        """``repro tune --resume`` finishes the single-session payload
+        and rewrites it as a population of one."""
+        ckpt = _unpacked("session_with_scratch.ckpt", tmp_path)
+        assert main(
+            ["tune", "--resume", str(ckpt), "--steps", str(self.STEPS)]
+        ) == 0
+        assert (
+            f"resuming WC-D1 from {ckpt} at step 4/{self.STEPS}"
+            in capsys.readouterr().out
+        )
+        ck = load_population_checkpoint(ckpt)
+        assert ck.next_steps == [self.STEPS]
+        assert sessions_equal(ck.sessions[0], self._full_session())
 
     def test_population_resumes_bit_identically(self, tmp_path):
         ck = load_population_checkpoint(
@@ -155,20 +175,22 @@ class TestResumeEquality:
         tuner = _trained()
         env = make_env("WC", "D1", seed=11, fault_profile="hostile")
         res = ResiliencePolicy.default(seed=5)
-        manager = CheckpointManager(ckpt, tuner, env, resilience=res)
+        manager = PopulationCheckpointManager(
+            ckpt, [tuner], [env], resiliences=[res]
+        )
         # the "kill": run only the first KILL_AT steps, checkpointing
         tuner.tune_online(
             env, steps=self.KILL_AT, resilience=res, checkpoint=manager
         )
         # a different process: everything restored from the snapshot
-        restored = load_checkpoint(ckpt)
-        assert restored.next_step == self.KILL_AT
-        return restored.tuner.tune_online(
-            restored.env,
+        restored = load_population_checkpoint(ckpt)
+        assert restored.next_steps == [self.KILL_AT]
+        return restored.tuners[0].tune_online(
+            restored.envs[0],
             steps=self.STEPS,
-            resilience=restored.resilience,
-            session=restored.session,
-            start_step=restored.next_step,
+            resilience=restored.resiliences[0],
+            session=restored.sessions[0],
+            start_step=restored.next_steps[0],
         )
 
     def test_resume_is_bit_identical(self, tmp_path):
@@ -195,7 +217,9 @@ class TestCheckpointMechanics:
         ckpt = tmp_path / "s.ckpt"
         session = tuner.tune_online(
             env, steps=steps, resilience=res,
-            checkpoint=CheckpointManager(ckpt, tuner, env, resilience=res),
+            checkpoint=PopulationCheckpointManager(
+                ckpt, [tuner], [env], resiliences=[res]
+            ),
         )
         return tuner, env, res, ckpt, session
 
@@ -206,55 +230,61 @@ class TestCheckpointMechanics:
 
     def test_roundtrip_restores_counters(self, tmp_path):
         tuner, env, res, ckpt, session = self._ready(tmp_path, steps=3)
-        restored = load_checkpoint(ckpt)
-        assert restored.next_step == len(restored.session.steps) == 3
-        assert sessions_equal(restored.session, session)
-        assert restored.resilience.guard.consecutive_failures == (
+        restored = load_population_checkpoint(ckpt)
+        [restored_res] = restored.resiliences
+        assert restored.next_steps == [len(restored.sessions[0].steps)] == [3]
+        assert sessions_equal(restored.sessions[0], session)
+        assert restored_res.guard.consecutive_failures == (
             res.guard.consecutive_failures
         )
-        assert restored.resilience.guard.sigma_scale == res.guard.sigma_scale
-        assert restored.resilience.watchdog.aborts == res.watchdog.aborts
+        assert restored_res.guard.sigma_scale == res.guard.sigma_scale
+        assert restored_res.watchdog.aborts == res.watchdog.aborts
 
     def test_manager_cadence(self, tmp_path):
         tuner = _trained()
         env = make_env("WC", "D1", seed=11)
-        manager = CheckpointManager(tmp_path / "s.ckpt", tuner, env, every=2)
+        manager = PopulationCheckpointManager(
+            tmp_path / "s.ckpt", [tuner], [env], every=2
+        )
         tuner.tune_online(env, steps=5, checkpoint=manager)
         # steps 2 and 4 hit the cadence; 1, 3 and 5 do not
         assert manager.saves == 2
-        assert load_checkpoint(manager.path).next_step == 4
+        assert load_population_checkpoint(manager.path).next_steps == [4]
 
     def test_manager_rejects_bad_cadence(self, tmp_path):
         with pytest.raises(ValueError):
-            CheckpointManager(tmp_path / "s.ckpt", None, None, every=0)
+            PopulationCheckpointManager(
+                tmp_path / "s.ckpt", [None], [None], every=0
+            )
 
     def test_keyboard_interrupt_writes_final_snapshot(self, tmp_path):
         tuner = _trained()
         env = make_env("WC", "D1", seed=11)
         ckpt = tmp_path / "s.ckpt"
-        manager = CheckpointManager(
-            ckpt, tuner, env, every=100
+        manager = PopulationCheckpointManager(
+            ckpt, [tuner], [env], every=100
         )  # cadence never fires — only the interrupt handler saves
         env.step = _DyingStep(env, die_at=2)
         with pytest.raises(KeyboardInterrupt):
             tuner.tune_online(env, steps=5, checkpoint=manager)
-        restored = load_checkpoint(ckpt)
-        assert restored.next_step == len(restored.session.steps) == 2
+        restored = load_population_checkpoint(ckpt)
+        assert restored.next_steps == [len(restored.sessions[0].steps)] == [2]
 
     def test_resume_validates_start_step(self, tmp_path):
         tuner, env, res, ckpt, _ = self._ready(tmp_path, steps=2)
-        restored = load_checkpoint(ckpt)
+        restored = load_population_checkpoint(ckpt)
         with pytest.raises(ValueError):
-            restored.tuner.tune_online(
-                restored.env, steps=5, session=restored.session,
-                start_step=restored.next_step + 1,
+            restored.tuners[0].tune_online(
+                restored.envs[0], steps=5, session=restored.sessions[0],
+                start_step=restored.next_steps[0] + 1,
             )
 
     def test_version_mismatch_raises(self, tmp_path):
+        """The single-session payload keeps its own version check."""
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(pickle.dumps({"checkpoint_version": 999}))
         with pytest.raises(ValueError, match="version"):
-            load_checkpoint(bad)
+            load_population_checkpoint(bad)
 
     def test_save_checkpoint_with_live_telemetry(self, tmp_path):
         """Live telemetry holds locks; the saver must detach it, pickle,
@@ -268,9 +298,9 @@ class TestCheckpointMechanics:
         ctx = RunContext(tracer=Tracer(), metrics=MetricsRegistry())
         session = tuner.tune_online(env, steps=1, telemetry=ctx)
         before = env.runner.simulator.telemetry
-        save_checkpoint(
-            tmp_path / "s.ckpt", tuner=tuner, env=env,
-            session=session, next_step=1,
+        save_population_checkpoint(
+            tmp_path / "s.ckpt", tuners=[tuner], envs=[env],
+            sessions=[session], next_steps=[1],
         )
         # telemetry reattached after the detached pickle
         assert env.runner.simulator.telemetry is before
@@ -291,8 +321,7 @@ class TestCLIResume:
         assert main(["tune", "--resume", ckpt, "--steps", "4"]) == 0
         out = capsys.readouterr().out
         assert "resuming" in out
-        restored = load_checkpoint(ckpt)
-        assert restored.next_step == 4
+        assert load_population_checkpoint(ckpt).next_steps == [4]
 
     def test_resume_of_finished_session_is_noop(self, tmp_path, capsys):
         model = str(tmp_path / "m.npz")

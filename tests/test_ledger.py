@@ -299,16 +299,13 @@ class TestLedgerPurity:
                 "--ledger", str(tmp_path / "run.ledger.jsonl"),
             ]
         ) == 0
-        from repro.core.persistence import load_checkpoint
+        from repro.core.persistence import load_population_checkpoint
 
-        assert sessions_equal(
-            load_checkpoint(a).session, load_checkpoint(b).session
-        )
+        [session_a] = load_population_checkpoint(a).sessions
+        [session_b] = load_population_checkpoint(b).sessions
+        assert sessions_equal(session_a, session_b)
         view = load_ledger(tmp_path / "run.ledger.jsonl")
-        assert (
-            view.total_tuning_seconds()
-            == load_checkpoint(b).session.total_tuning_seconds
-        )
+        assert view.total_tuning_seconds() == session_b.total_tuning_seconds
 
 
 class TestExplainCli:

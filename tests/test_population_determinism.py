@@ -4,7 +4,8 @@ Two contracts at the command-line level:
 
 * ``repro tune --population N --seed S`` is bit-identical, member by
   member, to the N sequential ``repro tune --seed plan[i]`` runs for
-  ``plan = population_seed_plan(S, N)``;
+  ``plan = population_seed_plan(S, N)`` (at N = 1 the CLI runs the
+  sequential loop itself, and its checkpoint resumes as a session);
 * a population killed mid-run (SIGTERM, the orchestrator's kill signal)
   checkpoints, and ``--resume`` finishes it bit-identically to the
   uninterrupted run.
@@ -24,7 +25,6 @@ import pytest
 from repro.cli import main
 from repro.core.persistence import (
     PopulationCheckpointManager,
-    load_checkpoint,
     load_population_checkpoint,
 )
 from repro.core.population import population_seed_plan
@@ -71,10 +71,41 @@ def test_population_cli_matches_sequential_cli(model, tmp_path):
              "--seed", str(seed), "--steps", str(STEPS),
              "--fault-profile", "hostile", "--checkpoint", solo_ckpt]
         ) == 0
-        solo = load_checkpoint(solo_ckpt)
-        assert sessions_equal(pop.sessions[i], solo.session), (
+        [solo] = load_population_checkpoint(solo_ckpt).sessions
+        assert sessions_equal(pop.sessions[i], solo), (
             f"population member {i} diverged from --seed {seed}"
         )
+
+
+@pytest.mark.determinism
+def test_population_of_one_checkpoints_and_resumes_as_a_session(
+    model, tmp_path, capsys
+):
+    """``--population 1`` runs the sequential loop; its checkpoint is a
+    one-member population that resumes with the single-session wording
+    and ends equal to the solo run ``--seed plan[0]``."""
+    ckpt = str(tmp_path / "one.ckpt")
+    assert main(
+        ["tune", "--workload", "WC", "--model", model,
+         "--population", "1", "--seed", str(SEED), "--steps", "2",
+         "--fault-profile", "hostile", "--checkpoint", ckpt]
+    ) == 0
+    assert main(["tune", "--resume", ckpt, "--steps", str(STEPS)]) == 0
+    assert f"resuming WC-D1 from {ckpt} at step 3/{STEPS}" in (
+        capsys.readouterr().out
+    )
+    resumed = load_population_checkpoint(ckpt)
+    assert resumed.next_steps == [STEPS]
+
+    solo_ckpt = str(tmp_path / "solo.ckpt")
+    assert main(
+        ["tune", "--workload", "WC", "--model", model,
+         "--seed", str(population_seed_plan(SEED, 1)[0]),
+         "--steps", str(STEPS), "--fault-profile", "hostile",
+         "--checkpoint", solo_ckpt]
+    ) == 0
+    [solo] = load_population_checkpoint(solo_ckpt).sessions
+    assert sessions_equal(resumed.sessions[0], solo)
 
 
 @pytest.mark.determinism

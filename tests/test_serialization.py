@@ -1,4 +1,4 @@
-"""Tests for session JSON serialization and for copies of tuners."""
+"""Tests for copies of tuners."""
 
 import copy
 import pickle
@@ -9,89 +9,10 @@ import pytest
 from repro.agents.base import AgentHyperParams
 from repro.baselines.cdbtune import CDBTune
 from repro.core.deepcat import DeepCAT
-from repro.core.result import OnlineSession, TuningStepRecord, sessions_equal
+from repro.core.result import sessions_equal
 from repro.factory import make_env
 from repro.nn.network import Parameter, Sequential
 from repro.nn.optim import Adam
-from repro.utils.serialization import (
-    load_session,
-    save_session,
-    session_from_dict,
-    session_to_dict,
-)
-
-
-@pytest.fixture
-def session():
-    s = OnlineSession(
-        tuner="DeepCAT", workload="TS", dataset="D1",
-        default_duration_s=150.0,
-    )
-    for i, (d, ok) in enumerate([(60.0, True), (25.0, False), (52.0, True)]):
-        s.add(
-            TuningStepRecord(
-                step=i,
-                duration_s=d,
-                recommendation_s=0.01 * (i + 1),
-                reward=0.4 - i * 0.1,
-                success=ok,
-                config={"spark.executor.cores": 4, "spark.serializer": "kryo"},
-                action=np.linspace(0, 1, 5),
-                twinq_iterations=i,
-                twinq_accepted=True,
-                original_q=0.2,
-                final_q=0.5,
-            )
-        )
-    return s
-
-
-class TestSessionSerialization:
-    def test_dict_roundtrip(self, session):
-        restored = session_from_dict(session_to_dict(session))
-        assert restored.tuner == session.tuner
-        assert restored.n_steps == session.n_steps
-        assert restored.best_duration_s == session.best_duration_s
-        assert restored.total_tuning_seconds == pytest.approx(
-            session.total_tuning_seconds
-        )
-
-    def test_aggregates_preserved(self, session):
-        restored = session_from_dict(session_to_dict(session))
-        assert restored.best_so_far() == session.best_so_far()
-        assert restored.accumulated_cost() == pytest.approx(
-            session.accumulated_cost()
-        )
-        assert restored.speedup_over_default == pytest.approx(
-            session.speedup_over_default
-        )
-
-    def test_actions_roundtrip(self, session):
-        restored = session_from_dict(session_to_dict(session))
-        np.testing.assert_allclose(
-            restored.steps[0].action, session.steps[0].action
-        )
-
-    def test_twinq_fields_roundtrip(self, session):
-        restored = session_from_dict(session_to_dict(session))
-        assert restored.steps[1].twinq_iterations == 1
-        assert restored.steps[1].final_q == 0.5
-
-    def test_file_roundtrip(self, session, tmp_path):
-        path = tmp_path / "session.json"
-        save_session(session, path)
-        restored = load_session(path)
-        assert restored.workload == "TS"
-        assert restored.steps[2].config["spark.serializer"] == "kryo"
-
-    def test_missing_optional_fields_tolerated(self, session):
-        data = session_to_dict(session)
-        for step in data["steps"]:
-            step.pop("twinq_iterations")
-            step.pop("final_q")
-        restored = session_from_dict(data)
-        assert restored.steps[0].twinq_iterations is None
-
 
 FAST_HP = AgentHyperParams(batch_size=16, warmup_steps=8, hidden=(16, 16))
 COPIES = {

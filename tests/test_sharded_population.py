@@ -30,10 +30,7 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.core.persistence import (
-    load_checkpoint,
-    load_population_checkpoint,
-)
+from repro.core.persistence import load_population_checkpoint
 from repro.core.population import population_seed_plan
 from repro.core.result import sessions_equal
 from repro.parallel import ShardCrash, ShardedPopulation
@@ -111,9 +108,9 @@ def test_sharded_member_matches_solo_cli(model, tmp_path, sharded_ckpt):
          "--seed", str(seed), "--steps", str(STEPS),
          "--fault-profile", "hostile", "--checkpoint", solo_ckpt]
     ) == 0
-    solo = load_checkpoint(solo_ckpt)
+    [solo] = load_population_checkpoint(solo_ckpt).sessions
     sharded = load_population_checkpoint(sharded_ckpt)
-    assert sessions_equal(sharded.sessions[0], solo.session)
+    assert sessions_equal(sharded.sessions[0], solo)
 
 
 @pytest.mark.determinism
