@@ -571,7 +571,18 @@ def _finish_interrupted(ctx, stage: str) -> None:
     _finish_telemetry(ctx)
 
 
+def _counts_ok(command: str, args, *flags: str) -> bool:
+    """Print a usage error for the first count flag below 1."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) < 1:
+            print(f"{command}: {flag} must be >= 1", file=sys.stderr)
+            return False
+    return True
+
+
 def _cmd_train(args) -> int:
+    if not _counts_ok("train", args, "--iterations"):
+        return 2
     env = make_env(args.workload, args.dataset,
                    cluster=_CLUSTERS[args.cluster], seed=args.seed)
     cls = DeepCAT if args.tuner == "deepcat" else CDBTune
@@ -649,6 +660,8 @@ def _cmd_tune(args) -> int:
     if args.resume is None and args.model is None:
         print("tune: either --model or --resume is required",
               file=sys.stderr)
+        return 2
+    if not _counts_ok("tune", args, "--steps", "--checkpoint-every"):
         return 2
     if args.resume is not None:
         ck = load_population_checkpoint(args.resume)
@@ -882,6 +895,8 @@ def _cmd_corpus(args) -> int:
 
     from repro.data import generate_corpus, save_corpus
 
+    if not _counts_ok("corpus", args, "--samples"):
+        return 2
     env = make_env(args.workload, args.dataset,
                    cluster=_CLUSTERS[args.cluster], seed=args.seed)
     corpus = generate_corpus(
@@ -900,67 +915,6 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
-def _classify_artifact(path: str) -> str:
-    """Sniff what kind of telemetry artifact a file is.
-
-    Recognizes JSONL span traces, JSONL event logs, run manifests, JSON
-    metrics dumps, and Prometheus text; anything unparseable is treated
-    as Prometheus text (whose grammar is "anything line-oriented").
-    """
-    import json as _json
-
-    text = open(path, encoding="utf-8").read()
-    if not text.strip():
-        return "empty"
-    first_line = text.lstrip().split("\n", 1)[0]
-    try:
-        record = _json.loads(first_line)
-    except _json.JSONDecodeError:
-        try:
-            record = _json.loads(text)
-        except _json.JSONDecodeError:
-            return "prometheus"
-    if isinstance(record, dict):
-        if "duration_s" in record and "id" in record:
-            return "trace"
-        if "kind" in record and "ts" in record:
-            return "events"
-        if "run_id" in record:
-            return "manifest"
-        return "metrics-json"
-    return "prometheus"
-
-
-def _read_events_lenient(path: str) -> tuple[list[dict], bool]:
-    """Read a JSONL events file, tolerating a truncated final line.
-
-    A crashed run can leave the event being written at the instant of
-    death half-flushed; that partial *final* line is dropped (reported
-    via the returned flag).  A malformed line anywhere *else* means the
-    file is corrupt, which is worth failing loudly over.
-    """
-    import json as _json
-
-    records: list[dict] = []
-    lines = [
-        ln for ln in open(path, encoding="utf-8").read().splitlines()
-        if ln.strip()
-    ]
-    truncated = False
-    for i, line in enumerate(lines):
-        try:
-            records.append(_json.loads(line))
-        except _json.JSONDecodeError:
-            if i == len(lines) - 1:
-                truncated = True
-                break
-            raise ValueError(
-                f"{path}: line {i + 1} is not valid JSON (corrupt "
-                "events file)"
-            ) from None
-    return records, truncated
-
-
 def _cmd_telemetry(args) -> int:
     if args.action == "watch":
         return _cmd_telemetry_watch(args)
@@ -972,284 +926,87 @@ def _cmd_telemetry(args) -> int:
         print("telemetry: summary/dump take exactly one path",
               file=sys.stderr)
         return 2
-    args.path = args.path[0]
-    if not os.path.isfile(args.path):
-        print(f"{args.path}: no such file", file=sys.stderr)
+    path = args.path[0]
+    if not os.path.isfile(path):
+        print(f"{path}: no such file", file=sys.stderr)
         return 1
+    from repro.telemetry.artifacts import ArtifactError, render_artifact
+
     try:
-        return _render_artifact(args)
+        text, notes = render_artifact(
+            path, dump=args.action == "dump",
+            min_duration_s=args.min_ms / 1e3,
+        )
+    except ArtifactError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         # Truncated traces, half-written JSON, unreadable files: one
         # clear line on stderr, exit 1, no traceback.
-        print(f"{args.path}: cannot read artifact: {exc}", file=sys.stderr)
+        print(f"{path}: cannot read artifact: {exc}", file=sys.stderr)
         return 1
-
-
-def _render_artifact(args) -> int:
-    import json as _json
-
-    from repro.telemetry import RunManifest, load_trace, render_span_tree
-
-    kind = _classify_artifact(args.path)
-    if kind == "empty":
-        print(
-            f"{args.path}: empty file (no telemetry was recorded, or "
-            "the run died before its first write)",
-            file=sys.stderr,
-        )
-        return 1
-
-    if kind == "trace":
-        roots = load_trace(args.path)
-        if args.action == "dump":
-            print(_json.dumps(roots, indent=2))
-            return 0
-        n_spans = sum(1 for r in roots for _ in _iter_tree(r))
-        print(f"trace: {len(roots)} root span(s), {n_spans} total")
-        print(render_span_tree(roots, min_duration_s=args.min_ms / 1e3))
-        return 0
-
-    if kind == "events":
-        records, truncated = _read_events_lenient(args.path)
-        if truncated:
-            print(
-                f"{args.path}: final line is truncated (crashed run?); "
-                "ignoring it",
-                file=sys.stderr,
-            )
-        if not records:
-            print(f"{args.path}: no complete events", file=sys.stderr)
-            return 1
-        if args.action == "dump":
-            print(_json.dumps(records, indent=2))
-            return 0
-        counts: dict[str, int] = {}
-        for rec in records:
-            k = rec.get("kind", "?")
-            counts[k] = counts.get(k, 0) + 1
-        span_s = records[-1].get("ts", 0.0) - records[0].get("ts", 0.0)
-        print(
-            f"events: {len(records)} record(s) over {span_s:.1f}s"
-        )
-        for k in sorted(counts):
-            print(f"  {k:<20} x{counts[k]}")
-        return 0
-
-    if kind == "manifest":
-        manifest = RunManifest.load(args.path)
-        if args.action == "dump":
-            print(manifest.to_json())
-            return 0
-        d = manifest.to_dict()
-        print(f"run {d['run_id']} ({d['kind']})")
-        for key in ("workload", "dataset", "seed", "git_sha", "python"):
-            print(f"  {key:<12} {d[key]}")
-        print(f"  {'elapsed_s':<12} {d['elapsed_s']:.2f}")
-        if d["wall_clock"]:
-            print("  wall-clock breakdown:")
-            for name, entry in sorted(d["wall_clock"].items()):
-                print(
-                    f"    {name:<28} {entry['total_s']:9.3f}s "
-                    f"x{int(entry['count'])}"
-                )
-        for stage in d["stages"]:
-            print(f"  stage: {stage}")
-        return 0
-
-    if kind == "metrics-json":
-        data = _json.loads(open(args.path, encoding="utf-8").read())
-        if args.action == "dump":
-            print(_json.dumps(data, indent=2, sort_keys=True))
-            return 0
-        for name, entry in sorted(data.items()):
-            for series in entry["series"]:
-                labels = ",".join(
-                    f"{k}={v}" for k, v in series.get("labels", {}).items()
-                )
-                value = series.get("value", series.get("sum"))
-                print(f"{name}{{{labels}}} = {value}")
-        return 0
-
-    # Prometheus text: dump prints it verbatim, summary filters comments.
-    text = open(args.path, encoding="utf-8").read()
-    if args.action == "dump":
-        print(text, end="")
-    else:
-        for line in text.splitlines():
-            if line and not line.startswith("#"):
-                print(line)
+    for note in notes:
+        print(note, file=sys.stderr)
+    print(text, end="")
     return 0
 
 
-def _watch_render(path: str, stale_after: float | None) -> tuple[str, str]:
-    """(rendered line, status) for one heartbeat file.
+def _poll(args, render, once: bool, repaint: str = "") -> int:
+    """Print ``render()``'s text, again every ``--interval`` seconds until
+    interrupted unless ``once``; exit 3 on a stalled or crashed session
+    under ``--fail-on-stall``."""
+    import time
 
-    Staleness keys off the file's mtime (the writer touches it on every
-    step), not the wall-clock stamp inside the document.
-    """
-    import time as _time
-
-    from repro.telemetry import (
-        heartbeat_status,
-        pid_alive,
-        read_heartbeat,
-        render_heartbeat,
-    )
-
-    doc = read_heartbeat(path)
-    age = max(0.0, _time.time() - os.path.getmtime(path))
-    status = heartbeat_status(doc, age, stale_after,
-                              alive=pid_alive(doc.get("pid")))
-    line = render_heartbeat(doc)
-    if status == "stalled":
-        line += f"  STALLED (no heartbeat for {age:.0f}s)"
-    elif status == "crashed":
-        line += (
-            f"  CRASHED (pid {doc.get('pid')} is gone, "
-            "no terminal marker)"
-        )
-    return line, status
+    prefix = ""
+    try:
+        while True:
+            text, unhealthy = render()
+            print(prefix + text, flush=True)
+            if unhealthy and args.fail_on_stall:
+                return 3
+            if once:
+                return 0
+            prefix = repaint
+            time.sleep(max(args.interval, 0.1))
+    except KeyboardInterrupt:
+        return 0
 
 
 def _cmd_telemetry_watch(args) -> int:
-    import time as _time
+    from repro.telemetry.artifacts import watch_line
 
-    path = args.path[0]
+    def render():
+        line, status = watch_line(args.path[0], args.stale_after)
+        return line, status in ("stalled", "crashed")
 
-    def render_once() -> tuple[int | None, str]:
-        try:
-            line, status = _watch_render(path, args.stale_after)
-        except ValueError as exc:
-            print(f"watch: {exc}", file=sys.stderr)
-            return 1, "error"
-        print(line, flush=True)
-        if status in ("stalled", "crashed") and args.fail_on_stall:
-            return 3, status
-        return None, status
-
-    rc, _status = render_once()
-    if rc is not None:
-        return rc
-    if not args.follow:
-        return 0
     try:
-        while True:
-            _time.sleep(max(args.interval, 0.1))
-            rc, _status = render_once()
-            if rc is not None:
-                return rc
-    except KeyboardInterrupt:
-        return 0
-
-
-def _collect_heartbeats(paths: list[str]) -> list[tuple[str, str]]:
-    """Expand files/directories into (display name, heartbeat path).
-
-    Directories are scanned (recursively) for ``*.json`` files that
-    parse as heartbeat documents; unreadable candidates are skipped.
-    """
-    from pathlib import Path as _Path
-
-    from repro.telemetry import read_heartbeat
-
-    found: list[tuple[str, str]] = []
-    for raw in paths:
-        p = _Path(raw)
-        if p.is_dir():
-            for candidate in sorted(p.rglob("*.json")):
-                if "manifest" in candidate.name:
-                    continue
-                try:
-                    read_heartbeat(candidate)
-                except ValueError:
-                    continue
-                rel = candidate.relative_to(p)
-                name = str(rel.parent) if rel.parent != _Path(".") else (
-                    candidate.stem
-                )
-                found.append((name, str(candidate)))
-        else:
-            found.append((p.stem, str(p)))
-    return found
-
-
-def _render_top(args) -> tuple[str, int]:
-    """(dashboard text, count of stalled + crashed sessions)."""
-    import time as _time
-
-    from repro.telemetry import heartbeat_status, pid_alive, read_heartbeat
-
-    entries = _collect_heartbeats(args.path)
-    header = (
-        f"{'SESSION':<18} {'STATE':<8} {'PHASE':<14} {'STEP':<9} "
-        f"{'BEST':>8} {'RTY':>4} {'ABT':>4} {'FBK':>4} {'ALRT':>5} "
-        f"{'AGE':>6}  LAST ALERT"
-    )
-    lines = [header]
-    stalled = 0
-    crashed = 0
-    for name, path in entries:
-        try:
-            doc = read_heartbeat(path)
-        except ValueError:
-            lines.append(f"{name:<18} {'?':<8} (unreadable heartbeat)")
-            continue
-        age = max(0.0, _time.time() - os.path.getmtime(path))
-        status = heartbeat_status(doc, age, args.stale_after,
-                                  alive=pid_alive(doc.get("pid")))
-        if status == "stalled":
-            stalled += 1
-        elif status == "crashed":
-            crashed += 1
-        total = doc.get("total_steps")
-        step = f"{doc.get('step', '?')}/{total}" if total else (
-            str(doc.get("step", "?"))
-        )
-        best = doc.get("best_duration_s")
-        resilience = doc.get("resilience") or {}
-        alerts = doc.get("alerts") or {}
-        active = alerts.get("active") or []
-        last_alert = ""
-        if active:
-            last = active[-1]
-            last_alert = f"{last.get('severity', '?')}:{last.get('name', '?')}"
-        lines.append(
-            f"{name:<18.18} {status.upper():<8} "
-            f"{doc.get('phase', '?'):<14} {step:<9} "
-            f"{(f'{best:.1f}s' if best is not None else '-'):>8} "
-            f"{resilience.get('retries', 0):>4} "
-            f"{resilience.get('watchdog_aborts', 0):>4} "
-            f"{resilience.get('fallbacks', 0):>4} "
-            f"{alerts.get('total', 0):>5} "
-            f"{age:>5.0f}s  {last_alert}"
-        )
-    if not entries:
-        lines.append("(no heartbeat files found)")
-    summary = (
-        f"{len(entries)} session(s), {stalled} stalled, {crashed} crashed"
-    )
-    return "\n".join(lines) + f"\n{summary}", stalled + crashed
+        return _poll(args, render, once=not args.follow)
+    except ValueError as exc:
+        print(f"watch: {exc}", file=sys.stderr)
+        return 1
 
 
 def _cmd_telemetry_top(args) -> int:
-    import time as _time
+    from repro.telemetry.artifacts import render_top
 
-    text, stalled = _render_top(args)
-    print(text, flush=True)
-    if args.once:
-        return 3 if (stalled and args.fail_on_stall) else 0
-    if stalled and args.fail_on_stall:
-        return 3
+    def render():
+        text, unhealthy = render_top(args.path, args.stale_after)
+        return text, unhealthy > 0
+
+    # Clear and repaint so the table stays in place like top(1).
+    return _poll(args, render, once=args.once, repaint="\x1b[2J\x1b[H")
+
+
+def _cmd_telemetry_stitch(args) -> int:
+    from repro.telemetry.artifacts import ArtifactError, stitch_report
+
     try:
-        while True:
-            _time.sleep(max(args.interval, 0.1))
-            text, stalled = _render_top(args)
-            # Clear and repaint so the table stays in place like top(1).
-            print("\x1b[2J\x1b[H" + text, flush=True)
-            if stalled and args.fail_on_stall:
-                return 3
-    except KeyboardInterrupt:
-        return 0
+        text = stitch_report(args.path, args.out)
+    except ArtifactError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    print(text, end="")
+    return 0
 
 
 def _cmd_doctor(args) -> int:
@@ -1268,6 +1025,24 @@ def _cmd_doctor(args) -> int:
         print(render_diagnosis(report, top=args.top), end="")
     if args.fail_on_findings and not report["healthy"]:
         return 4
+    return 0
+
+
+def _cmd_explain(args) -> int:
+    from repro.telemetry.artifacts import ArtifactError, explain
+
+    if args.compare and len(args.path) != 2:
+        print("explain: --compare takes exactly two paths", file=sys.stderr)
+        return 2
+    try:
+        text = explain(args.path, args.compare, args.top, args.knobs)
+    except ArtifactError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as exc:
+        print(f"explain: {exc}", file=sys.stderr)
+        return 1
+    print(text, end="")
     return 0
 
 
@@ -1347,226 +1122,6 @@ def _cmd_bench(args) -> int:
     cmp = compare_docs(candidate, baseline, threshold=threshold)
     print(render_comparison(cmp))
     return 0 if cmp.ok else 1
-
-
-def _iter_tree(rec):
-    yield rec
-    for child in rec.get("children", []):
-        yield from _iter_tree(child)
-
-
-def _cmd_telemetry_stitch(args) -> int:
-    from repro.telemetry import stitch_traces, write_chrome
-
-    inputs = args.path[0] if len(args.path) == 1 else args.path
-    result = stitch_traces(inputs)
-    if not result.files:
-        print("stitch: no trace files found", file=sys.stderr)
-        return 1
-    if result.spans == 0:
-        print(
-            "stitch: trace files contained no spans "
-            f"({len(result.files)} file(s) scanned)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.out:
-        out = args.out
-    elif len(args.path) == 1 and os.path.isdir(args.path[0]):
-        out = os.path.join(args.path[0], "stitched.chrome.json")
-    else:
-        out = "stitched.chrome.json"
-    write_chrome(result, out)
-    print(
-        f"stitch: {result.spans} span(s) from {len(result.files)} "
-        f"file(s), trace {result.trace_id or '(none)'}"
-    )
-    if result.unresolved_parents:
-        print(
-            f"stitch: {result.unresolved_parents} root(s) reference a "
-            "parent span not present in the inputs"
-        )
-    chain = result.critical_path_names()
-    if chain:
-        total = sum(
-            float(r.get("duration_s", 0.0)) for r in result.critical_path
-        )
-        print(f"critical path ({total:.3f}s): " + " > ".join(chain))
-    print(f"stitch: wrote {out}")
-    return 0
-
-
-def _resolve_ledger(path: str):
-    """A LedgerView for a ledger file or a run/bus directory."""
-    from repro.telemetry import load_ledger, merge_ledgers
-
-    p = Path(path)
-    if p.is_dir():
-        candidates = sorted((p / "ledgers").glob("*.jsonl")) or sorted(
-            p.glob("*.ledger.jsonl")
-        )
-        if not candidates:
-            raise FileNotFoundError(
-                f"{path}: no ledger files (looked for ledgers/*.jsonl "
-                "and *.ledger.jsonl)"
-            )
-        return merge_ledgers(candidates)
-    return load_ledger(p)
-
-
-def _ledger_entry_line(e: dict) -> str:
-    where = f"step {e['step']}" if "step" in e else str(e.get("phase", "?"))
-    if "member" in e:
-        where += f" m{e['member']}"
-    extras = [
-        f"{key}={e[key]}"
-        for key in ("tuner", "attempt", "cache", "source")
-        if key in e and e[key] not in (None, "run")
-    ]
-    suffix = f"  ({', '.join(extras)})" if extras else ""
-    return (
-        f"{float(e['amount_s']):12.3f}s  {e['account']:<15} "
-        f"{where:<14}{suffix}"
-    )
-
-
-def _knob_attribution(charges: list[dict], top: int) -> list[str]:
-    """Rank knobs by cost spread across the values actually evaluated.
-
-    For every knob seen in charge ``config`` metadata, group the charged
-    seconds by the knob's value and report mean cost per value; knobs are
-    ranked by the spread (max mean - min mean), which is a first-order
-    'which knob choice cost me the most' signal.
-    """
-    by_knob: dict[str, dict[str, list[float]]] = {}
-    for e in charges:
-        config = e.get("config")
-        if not isinstance(config, dict):
-            continue
-        amount = float(e["amount_s"])
-        for knob, value in config.items():
-            by_knob.setdefault(str(knob), {}).setdefault(
-                str(value), []
-            ).append(amount)
-    ranked = []
-    for knob, groups in by_knob.items():
-        if len(groups) < 2:
-            continue
-        means = {v: sum(a) / len(a) for v, a in groups.items()}
-        lo, hi = min(means, key=means.get), max(means, key=means.get)
-        ranked.append((means[hi] - means[lo], knob, lo, hi, means, groups))
-    ranked.sort(key=lambda r: (-r[0], r[1]))
-    lines = []
-    for spread, knob, lo, hi, means, groups in ranked[:top]:
-        n = sum(len(a) for a in groups.values())
-        lines.append(
-            f"  {knob:<28} spread {spread:9.3f}s  "
-            f"cheapest {lo}={means[lo]:.3f}s  "
-            f"dearest {hi}={means[hi]:.3f}s  ({n} eval(s))"
-        )
-    return lines
-
-
-def _explain_one(led, args) -> int:
-    src = led.path if led.path is not None else led.source
-    charges = led.charges()
-    if not charges and not led.counterfactuals():
-        print(f"{src}: ledger has no entries", file=sys.stderr)
-        return 1
-    total = led.total_charged()
-    print(f"ledger: {src}")
-    print(f"  {len(charges)} charge(s) totalling {total:.3f}s")
-    print("\ncharges by account:")
-    totals = led.totals()
-    for account in sorted(totals, key=lambda a: -totals[a]["seconds"]):
-        t = totals[account]
-        share = 100.0 * t["seconds"] / total if total else 0.0
-        print(
-            f"  {account:<15} {t['seconds']:12.3f}s  x{t['count']:<5} "
-            f"{share:5.1f}%"
-        )
-    online = led.total_tuning_seconds()
-    if online:
-        print(f"\nonline tuning cost (exact session TCT): {online!r}s")
-    cf = led.counterfactual_totals()
-    if cf:
-        print("\ncounterfactual savings (estimated cost avoided):")
-        for account in sorted(cf, key=lambda a: -cf[a]["seconds"]):
-            t = cf[account]
-            print(
-                f"  {account:<15} {t['seconds']:12.3f}s  x{t['count']}"
-            )
-    saved = led.saved_by_screening
-    if total + saved > 0:
-        ratio = saved / (total + saved)
-        print(
-            f"\nsaved_by_screening: {saved:.3f}s "
-            f"({100.0 * ratio:.1f}% of would-have-been cost)"
-        )
-    if args.top > 0 and charges:
-        expensive = sorted(
-            charges, key=lambda e: -float(e["amount_s"])
-        )[: args.top]
-        print(f"\ntop {len(expensive)} most expensive step(s):")
-        for e in expensive:
-            print("  " + _ledger_entry_line(e))
-    if args.knobs > 0:
-        lines = _knob_attribution(charges, args.knobs)
-        if lines:
-            print("\nper-knob cost attribution (evaluated configs):")
-            print("\n".join(lines))
-    return 0
-
-
-def _explain_compare(a, b, args) -> int:
-    name_a = str(a.path if a.path is not None else a.source)
-    name_b = str(b.path if b.path is not None else b.source)
-    ta, tb = a.totals(), b.totals()
-    print(f"ledger diff: A={name_a}  B={name_b}")
-    print(
-        f"\n{'account':<15} {'A':>12} {'B':>12} {'delta (B-A)':>14}"
-    )
-    for account in sorted(set(ta) | set(tb)):
-        sa = ta.get(account, {}).get("seconds", 0.0)
-        sb = tb.get(account, {}).get("seconds", 0.0)
-        print(
-            f"{account:<15} {sa:11.3f}s {sb:11.3f}s {sb - sa:+13.3f}s"
-        )
-    sa, sb = a.total_charged(), b.total_charged()
-    print(f"{'total':<15} {sa:11.3f}s {sb:11.3f}s {sb - sa:+13.3f}s")
-    va, vb = a.saved_by_screening, b.saved_by_screening
-    print(
-        f"\nsaved_by_screening: A {va:.3f}s, B {vb:.3f}s "
-        f"(delta {vb - va:+.3f}s)"
-    )
-    ca, cb = a.cache_savings, b.cache_savings
-    if ca or cb:
-        print(
-            f"cache_saving:       A {ca:.3f}s, B {cb:.3f}s "
-            f"(delta {cb - ca:+.3f}s)"
-        )
-    return 0
-
-
-def _cmd_explain(args) -> int:
-    if args.compare and len(args.path) != 2:
-        print("explain: --compare takes exactly two paths", file=sys.stderr)
-        return 2
-    try:
-        views = [_resolve_ledger(p) for p in args.path]
-    except (OSError, ValueError) as exc:
-        print(f"explain: {exc}", file=sys.stderr)
-        return 1
-    if args.compare:
-        return _explain_compare(views[0], views[1], args)
-    if len(views) == 1:
-        return _explain_one(views[0], args)
-    from repro.telemetry import LedgerView
-
-    merged = LedgerView(
-        [e for v in views for e in v.entries], source="merged"
-    )
-    return _explain_one(merged, args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,9 +4,11 @@ Encoding and decoding are the innermost operations of every search loop
 (LHS warmup, baseline sweeps, Twin-Q screening), so the space precomputes
 columnar transform tables at construction time: per-parameter bounds,
 log-scale coefficients, categorical index maps and integer-rounding
-masks.  The scalar :meth:`encode`/:meth:`decode` are thin views over
-those tables — bit-identical to the per-parameter path — and the batch
-variants (:meth:`encode_batch`, :meth:`decode_batch`,
+masks.  The tables cover the four parameter kinds of
+:mod:`repro.config.parameter`, the only kinds a space holds.  The scalar
+:meth:`encode`/:meth:`decode` are thin views over those tables —
+bit-identical to each parameter's own ``encode``/``decode`` — and the
+batch variants (:meth:`encode_batch`, :meth:`decode_batch`,
 :meth:`decode_columns`) apply the same tables across the candidate axis
 in a handful of numpy operations.
 """
@@ -26,11 +28,6 @@ from repro.config.parameter import (
 )
 
 __all__ = ["ConfigurationSpace"]
-
-# The four parameter kinds with table-backed fast paths.  A space built
-# from anything else (a user-defined Parameter subclass with its own
-# encode/decode) transparently falls back to the per-parameter methods.
-_TABLE_KINDS = (FloatParameter, IntParameter, BoolParameter, CategoricalParameter)
 
 
 def _categorical_encoder(p: CategoricalParameter) -> Callable[[Any], float]:
@@ -120,9 +117,6 @@ class ConfigurationSpace:
 
     def _build_tables(self) -> None:
         """Precompute the columnar encode/decode transform tables."""
-        self._fast = all(type(p) in _TABLE_KINDS for p in self._params)
-        if not self._fast:
-            return
         d = len(self._params)
         # Decode: value = a * u + b per column, then exp() on log columns.
         dec_a = np.empty(d, dtype=np.float64)
@@ -305,11 +299,6 @@ class ConfigurationSpace:
         tuner's view and the cluster's view is a classic config-tuning bug.
         """
         self._check_keys(config)
-        if not self._fast:
-            return np.array(
-                [p.encode(config[p.name]) for p in self._params],
-                dtype=np.float64,
-            )
         out = np.empty(self.dim, dtype=np.float64)
         i = 0
         for name, extract in self._extractors:
@@ -323,10 +312,6 @@ class ConfigurationSpace:
         Row ``i`` is bit-identical to ``encode(configs[i])``.
         """
         n = len(configs)
-        if not self._fast:
-            return np.array(
-                [self.encode(c) for c in configs], dtype=np.float64
-            ).reshape(n, self.dim)
         out = np.empty((n, self.dim), dtype=np.float64)
         for r, config in enumerate(configs):
             self._check_keys(config)
@@ -342,8 +327,6 @@ class ConfigurationSpace:
         vec = np.asarray(vector, dtype=np.float64)
         if vec.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {vec.shape}")
-        if not self._fast:
-            return {p.name: p.decode(u) for p, u in zip(self._params, vec)}
         self._check_unit_cube(vec)
         lin = self._linearize(vec)
         return {
@@ -363,8 +346,6 @@ class ConfigurationSpace:
         assembling per cell.
         """
         mat = self._check_matrix(vectors)
-        if not self._fast:
-            return [self.decode(row) for row in mat]
         lin = self._linearize(mat)
         columns: list[list] = [None] * self.dim  # type: ignore[list-item]
         for c, _ in self._dec_float:
@@ -393,12 +374,6 @@ class ConfigurationSpace:
         unicode for categoricals.  Column values match :meth:`decode`.
         """
         mat = self._check_matrix(vectors)
-        if not self._fast:
-            rows = [self.decode(row) for row in mat]
-            return {
-                p.name: np.array([r[p.name] for r in rows])
-                for p in self._params
-            }
         lin = self._linearize(mat)
         cols: dict[str, np.ndarray] = {}
         for c, name in self._dec_float:

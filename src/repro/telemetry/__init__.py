@@ -18,18 +18,16 @@ Three pillars, one carrier object:
   one Chrome/Perfetto file with a computed critical path;
 * :mod:`repro.telemetry.doctor` — post-mortem diagnosis over a run
   directory (events + manifest + heartbeat);
+* :mod:`repro.telemetry.artifacts` — reads and renders every artifact
+  for ``repro telemetry`` and ``repro explain`` (loaded by those
+  commands only, not by this package);
 * :mod:`repro.telemetry.context` — :class:`RunContext` bundling all of
   the above plus the event logger, with a zero-overhead null default.
 
 See ``docs/observability.md`` for the metric/span/event catalog.
 """
 
-from repro.telemetry.bus import (
-    BusWriter,
-    iter_jsonl_lenient,
-    merge_timeline,
-    read_jsonl_lenient,
-)
+from repro.telemetry.bus import BusWriter, merge_timeline
 from repro.telemetry.context import NULL_CONTEXT, RunContext, ensure_context
 from repro.telemetry.diagnostics import (
     NULL_DIAGNOSTICS,
@@ -107,8 +105,6 @@ __all__ = [
     "NullDiagnostics",
     "NULL_DIAGNOSTICS",
     "BusWriter",
-    "iter_jsonl_lenient",
-    "read_jsonl_lenient",
     "merge_timeline",
     "CostLedger",
     "LedgerView",

@@ -23,49 +23,21 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
+from ..utils.jsonl import JsonlWriter, read_jsonl
 from ..utils.logging import TuningLogger
 
-__all__ = [
-    "BusWriter",
-    "iter_jsonl_lenient",
-    "read_jsonl_lenient",
-    "merge_timeline",
-    "TIMELINE_NAME",
-]
+__all__ = ["BusWriter", "merge_timeline", "TIMELINE_NAME"]
 
 #: filename of the merged per-run timeline inside a bus directory
 TIMELINE_NAME = "timeline.jsonl"
 
 
-def iter_jsonl_lenient(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield JSON objects from a JSONL file, tolerating a truncated
-    final line (a writer killed mid-append must not poison readers)."""
-    path = Path(path)
-    if not path.is_file():
-        return
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail or partial flush
-            if isinstance(rec, dict):
-                yield rec
-
-
-def read_jsonl_lenient(path: str | Path) -> list[dict[str, Any]]:
-    """Materialized :func:`iter_jsonl_lenient`."""
-    return list(iter_jsonl_lenient(path))
-
-
-class BusWriter(TuningLogger):
+class BusWriter(JsonlWriter, TuningLogger):
     """A :class:`TuningLogger` that appends enveloped events to this
-    source's stream file (``<root>/<source>.jsonl``).
+    source's stream file (``<root>/<source>.jsonl``), opened with the
+    first event.
 
     One writer per process/source; records carry a monotone ``seq`` so
     the merged timeline can prove losslessness (``seq`` values per
@@ -82,15 +54,8 @@ class BusWriter(TuningLogger):
         self.root = Path(root)
         self.source = str(source)
         self.trace_id = trace_id
-        self.path = self.root / f"{self.source}.jsonl"
+        super().__init__(self.root / f"{self.source}.jsonl")
         self._seq = 0
-        self._fh = None
-
-    def _ensure_open(self):
-        if self._fh is None:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a", encoding="utf-8")
-        return self._fh
 
     def event(self, kind: str, **fields: Any) -> None:
         record = {
@@ -105,18 +70,7 @@ class BusWriter(TuningLogger):
         for key, value in fields.items():
             if key not in record:
                 record[key] = value
-        fh = self._ensure_open()
-        fh.write(json.dumps(record, default=str) + "\n")
-        fh.flush()
-
-    def flush(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self.write(record)
 
 
 def merge_timeline(
@@ -137,10 +91,8 @@ def merge_timeline(
     out_path = Path(out) if out is not None else root / TIMELINE_NAME
     records: list[dict[str, Any]] = []
     for path in sorted(root.glob("*.jsonl")):
-        if path == out_path:
-            continue
-        for rec in iter_jsonl_lenient(path):
-            records.append(rec)
+        if path != out_path:
+            records.extend(read_jsonl(path)[0])
     order = sorted(
         range(len(records)),
         key=lambda i: (

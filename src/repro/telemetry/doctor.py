@@ -26,9 +26,10 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .bus import TIMELINE_NAME, read_jsonl_lenient
+from ..utils.jsonl import read_jsonl
+from .bus import TIMELINE_NAME
 from .diagnostics import SEVERITY_RANK, replay_events
-from .heartbeat import read_heartbeat
+from .heartbeat import scan_heartbeats
 
 __all__ = ["diagnose_run", "render_diagnosis", "REMEDIATIONS"]
 
@@ -166,7 +167,7 @@ def _find_events_file(run_dir: Path) -> Path | None:
     )
     best: tuple[int, Path] | None = None
     for path in candidates:
-        records = read_jsonl_lenient(path)
+        records, _ = read_jsonl(path)
         score = sum(1 for r in records if r.get("kind") in diagnosable)
         if score and (best is None or score > best[0]):
             best = (score, path)
@@ -174,33 +175,14 @@ def _find_events_file(run_dir: Path) -> Path | None:
 
 
 def _load_manifest(run_dir: Path) -> dict[str, Any] | None:
-    for name in ("manifest.json", "run.manifest.json"):
-        path = run_dir / name
-        if path.is_file():
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue
-            if isinstance(doc, dict):
-                return doc
-    for path in sorted(run_dir.glob("*manifest*.json")):
+    named = [run_dir / "manifest.json", run_dir / "run.manifest.json"]
+    for path in named + sorted(run_dir.glob("*manifest*.json")):
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
             continue
         if isinstance(doc, dict):
             return doc
-    return None
-
-
-def _load_heartbeat(run_dir: Path) -> dict[str, Any] | None:
-    for path in sorted(run_dir.glob("*.json")):
-        if "manifest" in path.name or path.name.endswith(".chrome.json"):
-            continue
-        try:
-            return read_heartbeat(path)
-        except ValueError:
-            continue
     return None
 
 
@@ -265,9 +247,7 @@ def diagnose_run(target: str | Path) -> dict[str, Any]:
         run_dir = target.parent
         events_path = target
 
-    records = (
-        read_jsonl_lenient(events_path) if events_path is not None else []
-    )
+    records = read_jsonl(events_path)[0] if events_path else []
     live_alerts = [r for r in records if r.get("kind") == "alert"]
     engine_alerts = _engine_event_alerts(records)
     if live_alerts:
@@ -289,7 +269,7 @@ def diagnose_run(target: str | Path) -> dict[str, Any]:
         if r.get("kind") in ("online-step", "offline-step")
     ]
     manifest = _load_manifest(run_dir)
-    heartbeat = _load_heartbeat(run_dir)
+    heartbeat = next((doc for _, doc in scan_heartbeats(run_dir)), None)
 
     run_info: dict[str, Any] = {
         "path": str(target),

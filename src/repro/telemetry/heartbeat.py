@@ -21,13 +21,14 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.utils.logging import TuningLogger
 
 __all__ = [
     "HeartbeatWriter",
     "read_heartbeat",
+    "scan_heartbeats",
     "render_heartbeat",
     "heartbeat_status",
     "default_stale_after",
@@ -176,6 +177,27 @@ def read_heartbeat(path: str | Path) -> dict[str, Any]:
     if not isinstance(doc, dict) or "step" not in doc:
         raise ValueError(f"{path}: not a heartbeat document")
     return doc
+
+
+def scan_heartbeats(
+    root: str | Path, recursive: bool = False
+) -> Iterator[tuple[Path, dict[str, Any]]]:
+    """``(path, document)`` for each heartbeat among ``root``'s ``*.json``
+    files (and its subdirectories' when ``recursive``), in path order.
+
+    Manifests, Chrome trace exports and files that are not heartbeat
+    documents are skipped.
+    """
+    root = Path(root)
+    found = root.rglob("*.json") if recursive else root.glob("*.json")
+    for path in sorted(found):
+        if "manifest" in path.name or path.name.endswith(".chrome.json"):
+            continue
+        try:
+            doc = read_heartbeat(path)
+        except ValueError:
+            continue
+        yield path, doc
 
 
 def finalize_heartbeat(path: str | Path, status: str = "completed") -> None:

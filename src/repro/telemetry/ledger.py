@@ -50,15 +50,13 @@ Like every other telemetry pillar the ledger is a pure observer: a run with
 from __future__ import annotations
 
 import errno
-import io
-import json
 import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable
 
-from .bus import iter_jsonl_lenient
+from ..utils.jsonl import JsonlWriter, read_jsonl
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -216,9 +214,21 @@ class CostLedger(_LedgerTotals):
         self.path = Path(path) if path is not None else None
         self.source = source
         self.entries: list[dict[str, Any]] = []
-        self._fh: io.TextIOWrapper | None = None
         self._seq = 0
-        self._defer = 0
+        self._out: JsonlWriter | None = None
+        if self.path is not None:
+            self._out = JsonlWriter(
+                self.path,
+                truncate=True,
+                header=lambda: {
+                    "schema": LEDGER_SCHEMA,
+                    "kind": "ledger-header",
+                    "source": source,
+                    "ts": time.time(),
+                    "pid": os.getpid(),
+                },
+                sort_keys=True,
+            )
 
     # -- recording -----------------------------------------------------
 
@@ -299,31 +309,16 @@ class CostLedger(_LedgerTotals):
     # -- persistence ---------------------------------------------------
 
     def _write(self, entry: dict[str, Any]) -> None:
-        if self.path is None:
-            return
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("w", encoding="utf-8")
-            header = {
-                "schema": LEDGER_SCHEMA,
-                "kind": "ledger-header",
-                "source": self.source,
-                "ts": time.time(),
-                "pid": os.getpid(),
-            }
-            self._fh.write(json.dumps(header, sort_keys=True) + "\n")
-        self._fh.write(json.dumps(entry, sort_keys=True, default=str) + "\n")
-        if not self._defer:
-            self._fh.flush()
+        if self._out is not None:
+            self._out.write(entry)
 
     def flush(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
+        if self._out is not None:
+            self._out.flush()
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._out is not None:
+            self._out.close()
 
     @contextmanager
     def deferred(self):
@@ -334,13 +329,11 @@ class CostLedger(_LedgerTotals):
         syscall cadence is batched (the population emits one flush per
         lockstep round instead of one per member).
         """
-        self._defer += 1
-        try:
+        if self._out is None:
             yield self
-        finally:
-            self._defer -= 1
-            if not self._defer:
-                self.flush()
+            return
+        with self._out.deferred():
+            yield self
 
 
 class NullLedger(_LedgerTotals):
@@ -403,7 +396,7 @@ def load_ledger(path: str | Path) -> LedgerView:
         )
     entries: list[dict[str, Any]] = []
     source = "?"
-    for record in iter_jsonl_lenient(path):
+    for record in read_jsonl(path)[0]:
         if record.get("kind") == "ledger-header":
             schema = record.get("schema")
             if schema != LEDGER_SCHEMA:

@@ -9,12 +9,13 @@ metrics/traces/provenance, wrap a logger in a
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, IO, Iterable
+
+from repro.utils.jsonl import JsonlWriter
 
 __all__ = [
     "TuningLogger",
@@ -105,43 +106,21 @@ class ConsoleLogger(TuningLogger):
         self._stream.flush()
 
 
-class JsonlLogger(TuningLogger):
+class JsonlLogger(JsonlWriter, TuningLogger):
     """Appends one JSON object per event to a file.
 
-    Every event is flushed to the OS immediately so a crashed run still
-    leaves a complete event log on disk (losing at most the event being
-    written at the instant of the crash).
+    The file opens (for append) at construction.  Every event is flushed
+    to the OS immediately so a crashed run still leaves a complete event
+    log on disk (losing at most the event being written at the instant
+    of the crash).
     """
 
     def __init__(self, path: str | Path):
-        path = Path(path)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(path, "a", encoding="utf-8")
-        self._defer = 0
+        super().__init__(path)
+        self.open()
 
     def event(self, kind: str, **fields: Any) -> None:
-        record = {"kind": kind, "ts": time.time(), **fields}
-        self._fh.write(json.dumps(record) + "\n")
-        if not self._defer:
-            self._fh.flush()
-
-    def flush(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-    @contextmanager
-    def deferred(self):
-        self._defer += 1
-        try:
-            yield self
-        finally:
-            self._defer -= 1
-            if not self._defer:
-                self.flush()
+        self.write({"kind": kind, "ts": time.time(), **fields})
 
     def __enter__(self) -> "JsonlLogger":
         return self

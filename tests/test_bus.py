@@ -9,11 +9,14 @@ from repro.telemetry import (
     BusWriter,
     MetricsRegistry,
     RunContext,
-    iter_jsonl_lenient,
     merge_timeline,
-    read_jsonl_lenient,
 )
 from repro.telemetry.bus import TIMELINE_NAME
+from repro.utils.jsonl import read_jsonl
+
+
+def records_of(path):
+    return read_jsonl(path)[0]
 
 
 @task_kind("bus-probe")
@@ -39,7 +42,7 @@ class TestBusWriter:
         w.event("online-step", step=0, reward=0.5)
         w.event("alert", name="reward-plateau", severity="warning")
         w.close()
-        records = read_jsonl_lenient(tmp_path / "task-0000.jsonl")
+        records = records_of(tmp_path / "task-0000.jsonl")
         assert [r["seq"] for r in records] == [0, 1]
         assert all(r["source"] == "task-0000" for r in records)
         assert records[0]["kind"] == "online-step"
@@ -52,10 +55,10 @@ class TestBusWriter:
             json.dumps({"kind": "a", "ts": 1.0}) + "\n" + '{"kind": "b", ',
             encoding="utf-8",
         )
-        assert [r["kind"] for r in iter_jsonl_lenient(path)] == ["a"]
+        assert read_jsonl(path) == ([{"kind": "a", "ts": 1.0}], [2])
 
     def test_lenient_reader_missing_file(self, tmp_path):
-        assert read_jsonl_lenient(tmp_path / "none.jsonl") == []
+        assert records_of(tmp_path / "none.jsonl") == []
 
 
 class TestMergeTimeline:
@@ -76,7 +79,7 @@ class TestMergeTimeline:
         )
         out = merge_timeline(tmp_path)
         assert out.name == TIMELINE_NAME
-        merged = read_jsonl_lenient(out)
+        merged = records_of(out)
         assert [r["kind"] for r in merged] == ["w", "z", "x", "y"]
 
     def test_tie_break_is_total(self, tmp_path):
@@ -90,10 +93,10 @@ class TestMergeTimeline:
             + "\n",
             encoding="utf-8",
         )
-        merged = read_jsonl_lenient(merge_timeline(tmp_path))
+        merged = records_of(merge_timeline(tmp_path))
         assert [r["kind"] for r in merged] == ["first", "second"]
         # idempotent: re-merging yields the same total order
-        remerged = read_jsonl_lenient(merge_timeline(tmp_path))
+        remerged = records_of(merge_timeline(tmp_path))
         assert [r["kind"] for r in remerged] == ["first", "second"]
 
     def test_trace_id_rides_bus_envelope(self, tmp_path):
@@ -103,8 +106,8 @@ class TestMergeTimeline:
         plain = BusWriter(tmp_path, "task-0001")
         plain.event("online-step", step=0)
         plain.close()
-        tagged = read_jsonl_lenient(tmp_path / "task-0000.jsonl")[0]
-        bare = read_jsonl_lenient(tmp_path / "task-0001.jsonl")[0]
+        tagged = records_of(tmp_path / "task-0000.jsonl")[0]
+        bare = records_of(tmp_path / "task-0001.jsonl")[0]
         assert tagged["trace_id"] == "grid42"
         assert "trace_id" not in bare
 
@@ -115,7 +118,7 @@ class TestMergeTimeline:
             encoding="utf-8",
         )
         merge_timeline(tmp_path)
-        merged = read_jsonl_lenient(merge_timeline(tmp_path))
+        merged = records_of(merge_timeline(tmp_path))
         assert len(merged) == 1  # not doubled by reading timeline.jsonl
 
 
@@ -135,7 +138,7 @@ class TestEngineBusForwarding:
         # One stream per worker task, plus the merged timeline.
         streams = sorted(p.name for p in bus.glob("task-*.jsonl"))
         assert streams == [f"task-{i:04d}.jsonl" for i in range(8)]
-        timeline = read_jsonl_lenient(bus / TIMELINE_NAME)
+        timeline = records_of(bus / TIMELINE_NAME)
 
         # Ordered: the merge key is non-decreasing over the file.
         keys = [(r["ts"], r["source"], r["seq"]) for r in timeline]
@@ -150,7 +153,7 @@ class TestEngineBusForwarding:
         for seqs in per_source.values():
             assert sorted(seqs) == list(range(len(seqs)))
         total = sum(
-            len(read_jsonl_lenient(bus / name)) for name in streams
+            len(records_of(bus / name)) for name in streams
         )
         assert len(timeline) == total
 
@@ -175,7 +178,7 @@ class TestEngineBusForwarding:
         engine = ExperimentEngine(jobs=1, telemetry=ctx, bus_dir=bus)
         results = engine.run(self._tasks(2))
         assert results == [0, 2]
-        timeline = read_jsonl_lenient(bus / TIMELINE_NAME)
+        timeline = records_of(bus / TIMELINE_NAME)
         assert [r["kind"] for r in timeline].count("alert") == 2
         runs = ctx.metrics.to_json()["probe.runs_total"]["series"][0]["value"]
         assert runs == 2
@@ -209,7 +212,7 @@ class TestBusDeterminism:
             assert a.reward == b.reward
             assert a.config == b.config
         # ... and the bus captured the session's step events.
-        timeline = read_jsonl_lenient(tmp_path / "bus" / TIMELINE_NAME)
+        timeline = records_of(tmp_path / "bus" / TIMELINE_NAME)
         kinds = [r["kind"] for r in timeline]
         assert kinds.count("online-step") == 3
         assert kinds.count("metrics-snapshot") == 1

@@ -322,6 +322,42 @@ class TestWatchCLI:
         assert rc == 0
         assert "STALLED" not in capsys.readouterr().out
 
+    @staticmethod
+    def _interrupt_on_sleep(monkeypatch, after):
+        """Let ``after`` refresh sleeps pass, then raise Ctrl-C."""
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            if len(sleeps) > after:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        return sleeps
+
+    def test_watch_follow_repaints_until_interrupted(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        hb = tmp_path / "hb.json"
+        HeartbeatWriter(hb, total_steps=3).event("offline-step")
+        sleeps = self._interrupt_on_sleep(monkeypatch, after=2)
+        assert main([
+            "telemetry", "watch", str(hb), "--follow", "--interval", "0.01",
+        ]) == 0
+        assert capsys.readouterr().out.count("offline-train") == 3
+        assert sleeps == [0.1, 0.1, 0.1]  # the interval's floor
+
+    def test_top_refresh_clears_the_screen(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        HeartbeatWriter(tmp_path / "a" / "hb.json", total_steps=3).event(
+            "offline-step")
+        self._interrupt_on_sleep(monkeypatch, after=1)
+        assert main(["telemetry", "top", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("SESSION") == 2
+        assert out.count("\x1b[2J\x1b[H") == 1
+
     def test_top_renders_fleet_table(self, tmp_path, capsys):
         for name in ("alpha", "beta"):
             hb = tmp_path / name / "hb.json"

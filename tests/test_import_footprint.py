@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: no scipy until a GP tuner is used,
-no profiler until ``--profile`` is.
+no profiler until ``--profile`` is, and no artifact reader until an
+inspection command (``telemetry``, ``explain``) runs.
 
 OtterTune's GP and Expected Improvement stages, which BayesOptTuner
 reuses, import scipy at module level: about a second and most of a
@@ -60,6 +61,16 @@ def test_import_repro_loads_no_scipy():
 def test_cli_parser_loads_no_scipy_and_no_figure_module():
     loaded = _fresh("import repro.cli\nrepro.cli.build_parser()")
     assert loaded == {"scipy": [], "figures": [], "profilers": []}
+
+
+def test_artifact_readers_load_only_with_their_commands():
+    loaded = _fresh(
+        "import sys\n"
+        "import repro, repro.cli\n"
+        "repro.cli.build_parser()\n"
+        "extra = {'artifacts': 'repro.telemetry.artifacts' in sys.modules}\n"
+    )
+    assert loaded["artifacts"] is False
 
 
 def test_cli_runs_load_no_scipy(tmp_path):
