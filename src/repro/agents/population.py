@@ -17,6 +17,9 @@ samples, target-smoothing noise) is still drawn per member from the
 member's own generators.  Each agent's parameters are *views* into the
 stacked storage, so a member updated by its own scalar ``update`` (one
 that cannot join a block) and the stacked paths always agree.
+``update_block`` writes its temporaries into the
+:class:`~repro.nn.population.Workspace` it is given, so threads with
+workspaces of their own may update disjoint blocks at once.
 
 Bit-identity per row is inherited from :mod:`repro.nn.population`, plus
 the facts that ``np.clip``/``np.minimum`` are elementwise, the critic
@@ -30,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.population import StackedAdam, StackedSequential
+from repro.nn.population import StackedAdam, StackedSequential, Workspace
 from repro.replay.base import ReplayBatch
 
 __all__ = ["PopulationTD3View"]
@@ -42,8 +45,9 @@ _OPTS = ("actor_opt", "critic1_opt", "critic2_opt")
 
 class _BlockWorkspace:
     """Arrays of a ``(B, batch)`` block update, shared by every block of
-    that size.  Members sample straight into ``x`` (states, actions),
-    ``rewards`` and ``xn`` (next states): ``batches[j]`` views row ``j``."""
+    that size in one :class:`Workspace`.  Members sample straight into
+    ``x`` (states, actions), ``rewards`` and ``xn`` (next states):
+    ``batches[j]`` views row ``j``."""
 
     def __init__(self, n: int, rows: int, state_dim: int, action_dim: int):
         dim = state_dim + action_dim
@@ -109,7 +113,8 @@ class PopulationTD3View:
         # Pooled (n, rows, state+action) critic-input buffers, keyed by
         # candidate count — mirrors the scalar layers' workspace policy.
         self._x: dict[int, np.ndarray] = {}
-        self._blocks: dict[tuple[int, int], _BlockWorkspace] = {}
+        #: the temporaries of blocks updated without a workspace of their own
+        self.workspace = Workspace()
 
     def members_finite(self) -> np.ndarray:
         """``True`` per member iff its actor and both critics hold only
@@ -177,9 +182,11 @@ class PopulationTD3View:
     # ------------------------------------------------------------ learning
 
     def update_block(
-        self, rows: slice, buffers: Sequence, updates: int
+        self, rows: slice, buffers: Sequence, updates: int,
+        lane: Workspace | None = None,
     ) -> list[list[dict]]:
-        """Run ``updates`` TD3 updates for the members in ``rows``.
+        """Run ``updates`` TD3 updates for the members in ``rows``, with
+        every temporary in ``lane`` (default: :attr:`workspace`).
 
         ``buffers[j]`` is member ``rows.start + j``'s replay buffer, one
         that can sample a batch into provided rows.  The members must
@@ -195,9 +202,10 @@ class PopulationTD3View:
         agents = self.agents[rows]
         hp = agents[0].hp
         n, batch = len(agents), hp.batch_size
-        ws = self._blocks.get((n, batch))
+        lane = self.workspace if lane is None else lane
+        ws = lane.blocks.get((n, batch))
         if ws is None:
-            ws = self._blocks[(n, batch)] = _BlockWorkspace(
+            ws = lane.blocks[(n, batch)] = _BlockWorkspace(
                 n, batch, self.state_dim, self.action_dim
             )
         s = self.state_dim
@@ -216,14 +224,14 @@ class PopulationTD3View:
                 )
             # Clipped double-Q target with smoothed target actions.
             next_actions = self.actor_target.forward_rows(
-                ws.xn[:, :, :s], rows, cache=False
+                ws.xn[:, :, :s], rows, cache=False, ws=lane
             )
             np.add(next_actions, ws.noise, out=ws.noise)
             np.clip(ws.noise, 0.0, 1.0, out=ws.xn[:, :, s:])
             np.copyto(ws.y, self.critic1_target.forward_rows(
-                ws.xn, rows, cache=False))
+                ws.xn, rows, cache=False, ws=lane))
             np.minimum(ws.y, self.critic2_target.forward_rows(
-                ws.xn, rows, cache=False), out=ws.y)
+                ws.xn, rows, cache=False, ws=lane), out=ws.y)
             ws.y *= hp.gamma
             np.add(ws.rewards, ws.y, out=ws.y)
 
@@ -231,11 +239,11 @@ class PopulationTD3View:
                 (self.critic1, self.critic1_opt, ws.q[0], ws.td[0]),
                 (self.critic2, self.critic2_opt, ws.q[1], ws.td[1]),
             ):
-                np.copyto(q, net.forward_rows(ws.x, rows))
+                np.copyto(q, net.forward_rows(ws.x, rows, ws=lane))
                 np.subtract(q, ws.y, out=td)
                 np.multiply(td, 2.0 / batch, out=ws.g)
-                net.backward_rows(ws.g, rows, input_grad=False)
-                opt.step_rows(rows)
+                net.backward_rows(ws.g, rows, input_grad=False, ws=lane)
+                opt.step_rows(rows, ws=lane)
 
             td1, td2 = ws.td
             np.multiply(td1, td1, out=ws.g)
@@ -257,16 +265,21 @@ class PopulationTD3View:
                 continue
             # The states stay in ``x``; the actor's actions replace the
             # sampled ones as the critic's input.
-            ws.x[:, :, s:] = self.actor.forward_rows(ws.x[:, :, :s], rows)
-            self.critic1.forward_rows(ws.x, rows)
+            ws.x[:, :, s:] = self.actor.forward_rows(
+                ws.x[:, :, :s], rows, ws=lane
+            )
+            self.critic1.forward_rows(ws.x, rows, ws=lane)
             grad_in = self.critic1.backward_rows(
-                ws.actor_grad, rows, params=False
+                ws.actor_grad, rows, params=False, ws=lane
             )
             self.actor.backward_rows(grad_in[:, :, s:], rows,
-                                     input_grad=False)
-            self.actor_opt.step_rows(rows)
+                                     input_grad=False, ws=lane)
+            self.actor_opt.step_rows(rows, ws=lane)
             self.critic1.zero_grad_rows(rows)
-            self.actor_target.soft_update_rows(self.actor, rows, hp.tau)
-            self.critic1_target.soft_update_rows(self.critic1, rows, hp.tau)
-            self.critic2_target.soft_update_rows(self.critic2, rows, hp.tau)
+            for target, source in (
+                (self.actor_target, self.actor),
+                (self.critic1_target, self.critic1),
+                (self.critic2_target, self.critic2),
+            ):
+                target.soft_update_rows(source, rows, hp.tau, ws=lane)
         return out

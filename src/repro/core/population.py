@@ -42,6 +42,19 @@ Telemetry keeps the sequential order too: the push and fine-tune data
 work publishes nothing, and each member's push, sample, update and step
 telemetry is published afterwards, member by member.
 
+The fine-tune blocks of a round run on *lanes*: one thread per usable
+CPU, at most one per block (:func:`repro.parallel.pinning.usable_cpus`).
+The calling thread runs lane 0; a thread pool, started at the first
+round with two blocks and shut down when :meth:`PopulationTuner.tune`
+or :meth:`~PopulationTuner.finish` ends, runs the others.  Each lane
+writes its temporaries into a :class:`~repro.nn.population.Workspace` of
+its own, and each block writes only its members' rows of the stacked
+storage and draws only from its members' generators, so the result is
+the same at any lane count.  numpy releases the GIL inside its matmuls
+and ufunc loops, which is what lanes overlap; they run only while every
+loaded BLAS runs one thread (:func:`repro.parallel.pinning.one_blas_thread`),
+else two BLAS thread pools would contend for the same CPUs.
+
 The one documented divergence is ``recommendation_s``: the population
 measures one batched recommendation wall-clock per lockstep iteration
 and splits it equally among participating members, so this field (and
@@ -75,6 +88,8 @@ from repro.core.twinq import (
 )
 from repro.envs.population import VectorTuningEnv
 from repro.envs.tuning_env import TuningEnv
+from repro.nn.population import Workspace
+from repro.parallel.pinning import one_blas_thread, usable_cpus
 from repro.replay.rdper import RewardDrivenReplayBuffer
 from repro.replay.uniform import UniformReplayBuffer
 
@@ -125,8 +140,13 @@ class PopulationTuner:
     ``tune`` is bit-identical (per member) to calling each member's
     :meth:`OnlineTuner.tune` sequentially with the same arguments —
     see the module docstring for the argument and the test suite for
-    the enforcement.
+    the enforcement.  The lane threads are not part of the tuner's
+    state: a pickled or copied tuner starts its own.
     """
+
+    #: CPUs this tuner's lanes may use; ``None`` is the whole process's
+    #: share (a shard worker sets its own)
+    _cpus: int | None = None
 
     def __init__(self, members: Sequence[PopulationMember]):
         members = list(members)
@@ -157,6 +177,10 @@ class PopulationTuner:
         self._cands = np.zeros(
             (n, DEFAULT_MAX_ITERATIONS, self.view.action_dim)
         )
+        self._lanes: _Lanes | None = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_lanes": None}
 
     # ------------------------------------------------------------ factory
 
@@ -329,6 +353,8 @@ class PopulationTuner:
                     [len(m.session.steps) for m in members],
                 )
             raise
+        finally:
+            self.close()
         self.record_manifests()
         return self.sessions
 
@@ -368,9 +394,20 @@ class PopulationTuner:
 
     def finish(self, steps: int, time_budget_s: float | None = None) -> None:
         """Post-round teardown for callers driving :meth:`run_round`
-        directly: sequential quarantine finish + manifest records."""
-        self._finish_quarantined(steps, time_budget_s)
-        self.record_manifests()
+        directly: sequential quarantine finish + manifest records, then
+        :meth:`close`."""
+        try:
+            self._finish_quarantined(steps, time_budget_s)
+            self.record_manifests()
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Stop the lane threads and join them (idempotent); a later
+        round with two blocks starts them again."""
+        lanes, self._lanes = self._lanes, None
+        if lanes is not None:
+            lanes.close()
 
     def record_manifests(self) -> None:
         """One ``online-tune`` manifest stage per member."""
@@ -568,16 +605,110 @@ class PopulationTuner:
                 runs[-1].append(i)
             else:
                 runs.append([i])
-        stacked: dict[int, list[dict]] = {}
-        for run in runs:
-            lead = members[run[0]].tuner
-            updates = self.view.update_block(
+        blocks = [
+            (
                 slice(run[0], run[-1] + 1),
                 [members[i].tuner.buffer for i in run],
-                lead.fine_tune_updates,
+                members[run[0]].tuner.fine_tune_updates,
             )
+            for run in runs
+        ]
+        stacked: dict[int, list[dict]] = {}
+        for run, updates in zip(runs, self._run_blocks(blocks)):
             stacked.update(zip(run, updates))
         return stacked
+
+    def _run_blocks(self, blocks: list[tuple]) -> list[list[list[dict]]]:
+        """Each block's :meth:`PopulationTD3View.update_block` result,
+        in block order: on ``min(blocks, usable CPUs)`` lanes while
+        BLAS runs one thread, else one after another on this thread."""
+        cpus = self._cpus or usable_cpus()
+        lanes = min(len(blocks), cpus)
+        if lanes > 1:
+            with one_blas_thread() as single:
+                if single:
+                    if self._lanes is None:
+                        self._lanes = _Lanes(self.view, cpus - 1)
+                    return self._lanes.run(blocks, lanes)
+        return [self.view.update_block(*block) for block in blocks]
+
+
+class _Lanes:
+    """The threads and workspaces that run a round's fine-tune blocks.
+
+    Lane ``k`` runs blocks ``k, k + lanes, ...`` in order, into
+    workspace ``k``: lane 0 on the calling thread with the view's own
+    workspace, the others on a pool of ``threads`` threads.
+    """
+
+    def __init__(self, view: PopulationTD3View, threads: int):
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.view = view
+        self.pool = ThreadPoolExecutor(
+            max_workers=threads, thread_name_prefix="repro-lane"
+        )
+        self.workspaces = [view.workspace]
+
+    def run(self, blocks: list[tuple], lanes: int) -> list[list[list[dict]]]:
+        """Every block's result in block order.  Every lane has finished
+        before anything leaves, an interrupt on this thread included;
+        then the first failure in block order is raised."""
+        while len(self.workspaces) < lanes:
+            self.workspaces.append(Workspace())
+        futures = [
+            self.pool.submit(_lane, self.view, blocks[k::lanes],
+                             self.workspaces[k])
+            for k in range(1, lanes)
+        ]
+        try:
+            done = [_lane(self.view, blocks[0::lanes], self.workspaces[0])]
+        finally:
+            interrupt = _settle(futures)
+        done += [future.result() for future in futures]
+        results: list = [None] * len(blocks)
+        for k, outcomes in enumerate(done):
+            results[k:k + lanes * len(outcomes):lanes] = outcomes
+        for outcome in results:
+            # a block left unrun follows its lane's failure
+            if isinstance(outcome, BaseException):
+                raise outcome
+        if interrupt is not None:
+            raise interrupt
+        return results
+
+    def close(self) -> None:
+        self.pool.shutdown(wait=True)
+
+
+def _lane(view: PopulationTD3View, blocks: list[tuple],
+          workspace: Workspace) -> list:
+    """Run ``blocks`` in order; the first failure stops the lane and
+    takes its block's place in the result."""
+    outcomes: list = []
+    for block in blocks:
+        try:
+            outcomes.append(view.update_block(*block, workspace))
+        except BaseException as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
+def _settle(futures) -> BaseException | None:
+    """Wait until every future is done, even through exceptions that a
+    signal handler raises on this thread meanwhile (SIGINT, SIGTERM);
+    return the first of those."""
+    from concurrent.futures import wait
+
+    interrupt = None
+    while True:
+        try:
+            wait(futures)
+            return interrupt
+        except BaseException as exc:
+            if interrupt is None:
+                interrupt = exc
 
 
 def _block_key(tuner: OnlineTuner) -> tuple | None:

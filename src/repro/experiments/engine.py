@@ -1047,13 +1047,12 @@ def _execute_task_bus(
         writer.close()
 
 
-def _engine_worker_init(blas_threads: int | None) -> None:
+def _engine_worker_init(blas_threads: int) -> None:
     """Per-worker initializer of the persistent pool: pin BLAS pools
     once at spawn so K workers x 1 BLAS thread never oversubscribe."""
-    if blas_threads is not None:
-        from repro.parallel.pinning import limit_blas_threads
+    from repro.parallel.pinning import limit_blas_threads
 
-        limit_blas_threads(blas_threads)
+    limit_blas_threads(blas_threads)
 
 
 #: Manager threads of pools shut down without waiting, in this process.
@@ -1150,6 +1149,10 @@ class ExperimentEngine:
         A :class:`repro.faults.WorkerChaos` worker-kill schedule (tests
         and CI soak only).  Requires ``jobs >= 2`` — an inline worker
         killing itself would take the parent with it.
+    blas_threads:
+        BLAS threads per pool worker (``jobs >= 2``); ``None`` (default)
+        pins each to one, since ``jobs`` workers that each run a BLAS
+        pool sized to the machine oversubscribe it.
     """
 
     def __init__(
@@ -1193,7 +1196,7 @@ class ExperimentEngine:
         self.failure_mode = failure_mode
         self.chaos = chaos
         #: BLAS thread cap applied in each pool worker's initializer
-        #: (None = leave the worker's BLAS pools alone)
+        #: (None = one thread)
         self.blas_threads = blas_threads
         # Persistent worker pool: created on first pooled run, reused
         # across rounds and run() calls (amortizing interpreter spawn),
@@ -1675,7 +1678,9 @@ class ExperimentEngine:
                 max_workers=self.jobs,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_engine_worker_init,
-                initargs=(self.blas_threads,),
+                initargs=(
+                    1 if self.blas_threads is None else self.blas_threads,
+                ),
             )
             self._pool_holder["pool"] = pool
         return pool

@@ -39,9 +39,13 @@ scalar one:
   ``-0.0`` into ``+0.0``; the stacked backward writes them and adds
   ``0.0`` once over the block's rows to the same effect.
 
-Workspaces are pooled by shape, like the scalar layers', so all blocks
-of one size share them; the same ownership rule applies (a returned
-array is valid until the next call that produces one of the same shape).
+Every temporary a stacked op writes lives in a :class:`Workspace`,
+pooled by op, role and shape like the scalar layers' workspaces (a
+returned array is valid until the next call that produces one of the
+same key).  Stacks and ops hold only views of their storage, so threads
+that pass their own workspace may run the training math over disjoint
+rows at once; the inference :meth:`StackedSequential.forward` uses the
+stack's own.
 
 Pickling or deep-copying a member materializes its views as ordinary
 arrays, so adoption does not survive checkpoint round-trips — re-adopt
@@ -60,20 +64,35 @@ from repro.nn.layers import Linear, ReLU, Sigmoid, Tanh, sigmoid
 from repro.nn.network import Sequential
 from repro.nn.optim import Adam
 
-__all__ = ["StackedSequential", "StackedAdam"]
+__all__ = ["StackedSequential", "StackedAdam", "Workspace"]
 
 #: every row of a stacked op: the population-wide inference path
 _ALL = slice(None)
 
 
-def _buffer(
-    pool: dict[tuple, np.ndarray], shape: tuple[int, ...], dtype=np.float64
-) -> np.ndarray:
-    """Fetch (or create) the pooled buffer of ``shape``."""
-    buf = pool.get(shape)
-    if buf is None:
-        buf = pool[shape] = np.empty(shape, dtype=dtype)
-    return buf
+class Workspace:
+    """The temporaries of stacked math run by one thread at a time.
+
+    ``buffer`` pools arrays by ``(owner, role, shape)``; ``saved`` holds
+    what a cached forward keeps for its backward, per op; ``blocks``
+    holds callers' per-shape workspaces.
+    """
+
+    def __init__(self):
+        self._pools: dict[tuple, np.ndarray] = {}
+        self.saved: dict[object, np.ndarray] = {}
+        self.blocks: dict[tuple, object] = {}
+
+    def buffer(
+        self, owner, role: str, shape: tuple[int, ...], dtype=np.float64
+    ) -> np.ndarray:
+        """Fetch (or create) ``owner``'s pooled ``role`` buffer of
+        ``shape``."""
+        key = (owner, role, shape)
+        buf = self._pools.get(key)
+        if buf is None:
+            buf = self._pools[key] = np.empty(shape, dtype=dtype)
+        return buf
 
 
 def _adopt(
@@ -112,97 +131,79 @@ class _StackedLinear:
         self.b = data[:, k:k + out_dim].reshape(n, 1, out_dim)
         self.gw = grad[:, offset:k].reshape(n, in_dim, out_dim)
         self.gb = grad[:, k:k + out_dim]
-        self._x: np.ndarray | None = None
-        self._fwd: dict[tuple, np.ndarray] = {}
-        self._fwd_nc: dict[tuple, np.ndarray] = {}
-        self._bwd: dict[tuple, np.ndarray] = {}
 
     def forward(
-        self, x: np.ndarray, rows: slice = _ALL, cache: bool = False
+        self, x: np.ndarray, rows: slice, cache: bool, ws: Workspace
     ) -> np.ndarray:
         if cache:
-            self._x = x
-        out = _buffer(self._fwd if cache else self._fwd_nc,
-                      (*x.shape[:2], self.w.shape[2]))
+            ws.saved[self] = x
+        out = ws.buffer(self, "fwd" if cache else "fwd_nc",
+                        (*x.shape[:2], self.w.shape[2]))
         np.matmul(x, self.w[rows], out=out)
         out += self.b[rows]
         return out
 
     def backward(
         self, grad_out: np.ndarray, rows: slice, params: bool,
-        input_grad: bool,
+        input_grad: bool, ws: Workspace,
     ) -> np.ndarray | None:
         if params:
-            np.matmul(self._x.transpose(0, 2, 1), grad_out,
+            np.matmul(ws.saved[self].transpose(0, 2, 1), grad_out,
                       out=self.gw[rows])
             np.add.reduce(grad_out, axis=1, out=self.gb[rows])
         if not input_grad:
             return None
-        grad_in = _buffer(self._bwd, (*grad_out.shape[:2], self.w.shape[1]))
+        grad_in = ws.buffer(self, "bwd",
+                            (*grad_out.shape[:2], self.w.shape[1]))
         np.matmul(grad_out, self.w[rows].transpose(0, 2, 1), out=grad_in)
         return grad_in
 
 
 class _StackedReLU:
-    def __init__(self):
-        self._mask: np.ndarray | None = None
-        self._fwd: dict[tuple, np.ndarray] = {}
-        self._fwd_nc: dict[tuple, np.ndarray] = {}
-        self._masks: dict[tuple, np.ndarray] = {}
-        self._bwd: dict[tuple, np.ndarray] = {}
-
     def forward(
-        self, x: np.ndarray, rows: slice = _ALL, cache: bool = False
+        self, x: np.ndarray, rows: slice, cache: bool, ws: Workspace
     ) -> np.ndarray:
-        out = _buffer(self._fwd if cache else self._fwd_nc, x.shape)
+        out = ws.buffer(self, "fwd" if cache else "fwd_nc", x.shape)
         np.maximum(x, 0.0, out=out)
         if cache:
-            self._mask = _buffer(self._masks, x.shape, dtype=bool)
-            np.greater(x, 0.0, out=self._mask)
+            mask = ws.saved[self] = ws.buffer(self, "mask", x.shape,
+                                              dtype=bool)
+            np.greater(x, 0.0, out=mask)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_in = _buffer(self._bwd, grad_out.shape)
-        np.multiply(grad_out, self._mask, out=grad_in)
+    def backward(self, grad_out: np.ndarray, ws: Workspace) -> np.ndarray:
+        grad_in = ws.buffer(self, "bwd", grad_out.shape)
+        np.multiply(grad_out, ws.saved[self], out=grad_in)
         return grad_in
 
 
 class _StackedTanh:
     """Inference only: no stacked update trains a tanh network."""
 
-    def __init__(self):
-        self._fwd: dict[tuple, np.ndarray] = {}
-
     def forward(
-        self, x: np.ndarray, rows: slice = _ALL, cache: bool = False
+        self, x: np.ndarray, rows: slice, cache: bool, ws: Workspace
     ) -> np.ndarray:
-        out = _buffer(self._fwd, x.shape)
+        out = ws.buffer(self, "fwd", x.shape)
         np.tanh(x, out=out)
         return out
 
 
 class _StackedSigmoid:
-    def __init__(self):
-        self._out: np.ndarray | None = None
-        self._fwd: dict[tuple, np.ndarray] = {}
-        self._fwd_nc: dict[tuple, np.ndarray] = {}
-        self._bwd: dict[tuple, np.ndarray] = {}
-        self._bwd2: dict[tuple, np.ndarray] = {}
-
     def forward(
-        self, x: np.ndarray, rows: slice = _ALL, cache: bool = False
+        self, x: np.ndarray, rows: slice, cache: bool, ws: Workspace
     ) -> np.ndarray:
-        out = sigmoid(x, _buffer(self._fwd if cache else self._fwd_nc,
-                                 x.shape))
+        out = sigmoid(x, ws.buffer(self, "fwd" if cache else "fwd_nc",
+                                   x.shape))
         if cache:
-            self._out = out
+            ws.saved[self] = out
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_in = _buffer(self._bwd, grad_out.shape)
-        scratch = _buffer(self._bwd2, grad_out.shape)
-        np.multiply(grad_out, self._out, out=grad_in)
-        np.subtract(1.0, self._out, out=scratch)
+    def backward(self, grad_out: np.ndarray, ws: Workspace) -> np.ndarray:
+        out = ws.saved[self]
+        grad_in = ws.buffer(self, "bwd", grad_out.shape)
+        scratch = ws.buffer(self, "bwd2", grad_out.shape)
+        np.multiply(grad_out, out, out=grad_in)
+        np.subtract(1.0, out, out=scratch)
         np.multiply(grad_in, scratch, out=grad_in)
         return grad_in
 
@@ -220,7 +221,8 @@ class StackedSequential:
     ``forward`` takes ``(N, rows, in_dim)`` and returns
     ``(N, rows, out_dim)``, where slice ``i`` equals
     ``nets[i].forward(x[i], cache=False)`` bit-for-bit.  The ``*_rows``
-    methods run the training math over a block of consecutive rows.
+    methods run the training math over a block of consecutive rows, with
+    their temporaries in the workspace ``ws``.
     """
 
     def __init__(self, nets: Sequence[Sequential]):
@@ -273,7 +275,8 @@ class StackedSequential:
                 self._ops.append(_STACKED_ACTIVATIONS[kind]())
             else:
                 raise TypeError(f"cannot stack layer type {kind.__name__}")
-        self._scratch: dict[tuple, np.ndarray] = {}
+        #: the temporaries of :meth:`forward`
+        self.workspace = Workspace()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64)
@@ -281,36 +284,37 @@ class StackedSequential:
             raise ValueError(
                 f"expected shape ({self.n}, rows, in_dim), got {out.shape}"
             )
-        return self.forward_rows(out, _ALL, cache=False)
+        return self.forward_rows(out, _ALL, self.workspace, cache=False)
 
     def forward_rows(
-        self, x: np.ndarray, rows: slice, cache: bool = True
+        self, x: np.ndarray, rows: slice, ws: Workspace, cache: bool = True
     ) -> np.ndarray:
         """Forward of the members in ``rows`` over ``x`` ``(B, R, in)``;
-        ``cache`` keeps what :meth:`backward_rows` needs."""
+        ``cache`` keeps what :meth:`backward_rows` needs in ``ws``."""
         out = x
         for op in self._ops:
-            out = op.forward(out, rows, cache)
+            out = op.forward(out, rows, cache, ws)
         return out
 
     def backward_rows(
         self,
         grad_out: np.ndarray,
         rows: slice,
+        ws: Workspace,
         params: bool = True,
         input_grad: bool = True,
     ) -> np.ndarray | None:
         """:meth:`Sequential.backward` for the members in ``rows``, after
-        a cached :meth:`forward_rows` over the same rows.  With
-        ``params`` their grads are *overwritten*: the scalar path's
+        a cached :meth:`forward_rows` over the same rows and workspace.
+        With ``params`` their grads are *overwritten*: the scalar path's
         ``zero_grad`` plus accumulation."""
         grad = grad_out
         for i in range(len(self._ops) - 1, -1, -1):
             op, to_input = self._ops[i], input_grad or i > 0
             if isinstance(op, _StackedLinear):
-                grad = op.backward(grad, rows, params, to_input)
+                grad = op.backward(grad, rows, params, to_input, ws)
             elif to_input:
-                grad = op.backward(grad)
+                grad = op.backward(grad, ws)
         if params:
             g = self.grad[rows]
             np.add(g, 0.0, out=g)
@@ -320,13 +324,14 @@ class StackedSequential:
         self.grad[rows] = 0.0
 
     def soft_update_rows(
-        self, source: "StackedSequential", rows: slice, tau: float
+        self, source: "StackedSequential", rows: slice, tau: float,
+        ws: Workspace,
     ) -> None:
         """Polyak averaging ``θ' ← τ θ + (1 − τ) θ'`` of ``rows``, with
         ``source``'s rows as ``θ`` (:func:`repro.nn.target.soft_update`'s
         op order)."""
         target = self.data[rows]
-        buf = _buffer(self._scratch, target.shape)
+        buf = ws.buffer(self, "soft", target.shape)
         target *= 1.0 - tau
         np.multiply(source.data[rows], tau, out=buf)
         target += buf
@@ -367,22 +372,17 @@ class StackedAdam:
             for opt, m, v in zip(opts, mv, vv):
                 opt._m[k] = m
                 opt._v[k] = v
-        self._scratch: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _workspaces(self, shape: tuple[int, int]):
-        ws = self._scratch.get(shape)
-        if ws is None:
-            ws = self._scratch[shape] = (np.empty(shape), np.empty(shape))
-        return ws
-
-    def step_rows(self, rows: slice) -> None:
+    def step_rows(self, rows: slice, ws: Workspace) -> None:
         """:meth:`Adam.step` of every optimizer in ``rows``, which must
-        share ``lr``, ``betas``, ``eps`` and ``max_grad_norm``."""
+        share ``lr``, ``betas``, ``eps`` and ``max_grad_norm``; the
+        scratch lives in ``ws``."""
         opts = self.opts[rows]
         lead = opts[0]
         data, grad = self.net.data[rows], self.net.grad[rows]
         m, v = self.m[rows], self.v[rows]
-        a, b = self._workspaces(grad.shape)
+        a = ws.buffer(self, "a", grad.shape)
+        b = ws.buffer(self, "b", grad.shape)
         if lead.max_grad_norm is not None:
             max_norm = lead.max_grad_norm
             np.multiply(grad, grad, out=a)

@@ -2,10 +2,10 @@
 
 Two building blocks, each usable alone:
 
-* :mod:`repro.parallel.pinning` — best-effort BLAS thread limiting
-  (``threadpoolctl`` when available, ctypes OpenBLAS, environment
-  variables) so K worker processes x 1 BLAS thread never oversubscribe
-  the machine;
+* :mod:`repro.parallel.pinning` — BLAS thread limiting
+  (``threadpoolctl`` when available, the loaded OpenBLAS libraries' own
+  setters, environment variables) and the CPU budget of a process, so
+  worker processes and fine-tune lanes never oversubscribe the machine;
 * :mod:`repro.parallel.sharding` — :class:`ShardedPopulation`, the
   process-sharded population stepper: K long-lived workers each drive a
   contiguous shard of members held in their own memory, synchronized by
@@ -18,7 +18,6 @@ from repro.parallel.pinning import (
     limit_blas_threads,
     shard_plan,
 )
-from repro.parallel.sharding import ShardCrash, ShardedPopulation, ShardStats
 
 __all__ = [
     "ShardCrash",
@@ -29,3 +28,13 @@ __all__ = [
     "limit_blas_threads",
     "shard_plan",
 ]
+
+
+def __getattr__(name: str):
+    # Sharding imports multiprocessing (~10 ms); a population that only
+    # reads its CPU budget loads it on first access (PEP 562).
+    if name in ("ShardCrash", "ShardStats", "ShardedPopulation"):
+        from repro.parallel import sharding
+
+        return getattr(sharding, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

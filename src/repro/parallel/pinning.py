@@ -1,24 +1,31 @@
-"""Best-effort BLAS thread pinning for sharded workers.
+"""BLAS thread pinning and the CPU budget of a process.
 
-K shard processes each running multi-threaded BLAS oversubscribe the
-machine into a slowdown, so every worker pins its BLAS pools to a
-budget (usually 1).  Three mechanisms, tried in order of reliability:
+K processes each running multi-threaded BLAS oversubscribe the machine
+into a slowdown, and so do threads that call a multi-threaded BLAS at
+once (a population's fine-tune lanes).  So workers pin their BLAS pools
+to a budget (usually 1).  A pool is reached through, in order:
 
-1. ``threadpoolctl`` — talks to every loaded pool, works after import;
-2. ctypes ``openblas_set_num_threads`` on the already-loaded OpenBLAS;
-3. environment variables — only effective for libraries loaded *after*
-   the variables are set, which is exactly the situation in a freshly
-   spawned worker before it imports numpy's BLAS.
+1. ``threadpoolctl``, where it is installed;
+2. the thread setter and getter of every OpenBLAS library mapped into
+   this process, found by name in ``/proc/self/maps``.  numpy's wheels
+   bundle ``libscipy_openblas64_`` (``scipy_openblas_set_num_threads64_``),
+   and scipy's add ``libscipy_openblas`` (``scipy_openblas_set_num_threads``)
+   once a GP tuner imports it;
+3. environment variables, which only reach libraries loaded *after*
+   they are set: a spawned worker before it imports numpy.
 
-All three are best-effort: correctness never depends on pinning, only
-throughput does, and the bench schema records what actually took effect
-(:func:`effective_blas_threads`) so cross-host numbers stay honest.
+Correctness never depends on pinning, only throughput does.  The bench
+schema records the count the pools report (:func:`effective_blas_threads`)
+so cross-host numbers stay honest.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+from contextlib import contextmanager
+from functools import cache
+from typing import Callable, Iterator
 
 _BLAS_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -28,6 +35,19 @@ _BLAS_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
+#: (setter, getter) symbols an OpenBLAS build may export: scipy-openblas
+#: prefixes them (and numpy's 64-bit-integer build adds a suffix), plain
+#: OpenBLAS builds do not
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+#: one loaded BLAS pool: its thread-count getter and setter
+_Pool = tuple[Callable[[], int], Callable[[int], object]]
+
 
 def blas_env(threads: int) -> dict[str, str]:
     """Environment variables that cap BLAS pools at ``threads``."""
@@ -35,54 +55,84 @@ def blas_env(threads: int) -> dict[str, str]:
     return {var: value for var in _BLAS_ENV_VARS}
 
 
-def limit_blas_threads(threads: int) -> str:
-    """Pin loaded BLAS pools to ``threads``; returns the mechanism used."""
-    threads = max(1, int(threads))
-    os.environ.update(blas_env(threads))
+def _openblas_pools() -> list[_Pool]:
+    """The pool of every OpenBLAS library mapped into this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {
+                line.split(maxsplit=5)[-1].rstrip("\n")
+                for line in fh
+                if "openblas" in line
+            }
+    except OSError:  # no procfs: macOS, Windows
+        return []
+    pools = [_openblas_pool(path) for path in sorted(paths)]
+    return [pool for pool in pools if pool is not None]
+
+
+@cache
+def _openblas_pool(path: str) -> _Pool | None:
+    """The getter and setter a mapped library exports, if any."""
+    try:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    except OSError:  # unmapped since the scan, or not a library
+        return None
+    for setter, getter in _OPENBLAS_SYMBOLS:
+        set_fn = getattr(lib, setter, None)
+        get_fn = getattr(lib, getter, None)
+        if set_fn is not None and get_fn is not None:
+            set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+            get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+            return get_fn, set_fn
+    return None
+
+
+@cache
+def _threadpoolctl():
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=threads)
-        return "threadpoolctl"
     except ImportError:
-        pass
-    except Exception:  # pragma: no cover - exotic pool states
-        pass
-    try:
-        lib = ctypes.CDLL(None)
-        for symbol in ("openblas_set_num_threads",
-                       "openblas_set_num_threads64_"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn(threads)
-                return "openblas"
-    except OSError:  # pragma: no cover - no dlopen(NULL) support
-        pass
-    return "env"
+        return None
+    return threadpoolctl
+
+
+def _blas_pools() -> tuple[str, list[_Pool]]:
+    """How the loaded BLAS pools are reached, and their pools."""
+    threadpoolctl = _threadpoolctl()
+    if threadpoolctl is not None:
+        try:
+            blas = threadpoolctl.ThreadpoolController().select(
+                user_api="blas"
+            )
+            pools = [
+                (lambda c=c: c.num_threads, c.set_num_threads)
+                for c in blas.lib_controllers
+            ]
+        except AttributeError:  # pragma: no cover - threadpoolctl < 3
+            pools = []
+        if pools:
+            return "threadpoolctl", pools
+    pools = _openblas_pools()
+    return ("openblas" if pools else "env"), pools
+
+
+def limit_blas_threads(threads: int) -> str:
+    """Pin loaded BLAS pools, and the environment that later loads read,
+    to ``threads``; returns the mechanism that reached the pools."""
+    threads = max(1, int(threads))
+    os.environ.update(blas_env(threads))
+    how, pools = _blas_pools()
+    for _, set_threads in pools:
+        set_threads(threads)
+    return how
 
 
 def effective_blas_threads() -> int:
-    """The BLAS thread count actually in effect, best available probe."""
-    try:
-        import threadpoolctl
-
-        infos = threadpoolctl.threadpool_info()
-        blas = [i for i in infos if i.get("user_api") == "blas"]
-        if blas:
-            return max(int(i.get("num_threads", 1)) for i in blas)
-    except ImportError:
-        pass
-    except Exception:  # pragma: no cover
-        pass
-    try:
-        lib = ctypes.CDLL(None)
-        fn = getattr(lib, "openblas_get_num_threads", None)
-        if fn is not None:
-            n = int(fn())
-            if n > 0:
-                return n
-    except OSError:  # pragma: no cover
-        pass
+    """The BLAS thread count in effect: the most any loaded pool runs,
+    else the environment's cap, else the CPU count."""
+    _, pools = _blas_pools()
+    if pools:
+        return max(get() for get, _ in pools)
     for var in _BLAS_ENV_VARS:
         raw = os.environ.get(var)
         if raw:
@@ -91,6 +141,32 @@ def effective_blas_threads() -> int:
             except ValueError:
                 continue
     return os.cpu_count() or 1
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[bool]:
+    """Run the block with every loaded BLAS pool at one thread, then
+    give each pool back its count.  Yields whether BLAS runs one thread
+    inside: ``False`` when no pool could be reached and read as 1."""
+    _, pools = _blas_pools()
+    counts = [get() for get, _ in pools]
+    for _, set_threads in pools:
+        set_threads(1)
+    try:
+        yield bool(pools) and all(get() == 1 for get, _ in pools)
+    finally:
+        for (_, set_threads), count in zip(pools, counts):
+            set_threads(count)
+
+
+def usable_cpus(share: int = 1) -> int:
+    """CPUs this process may use: its affinity mask, divided among the
+    ``share`` processes that run on it at once (at least 1)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // share)
 
 
 def shard_plan(n: int, shards: int) -> list[tuple[int, int]]:

@@ -14,9 +14,10 @@ Member state
 A worker keeps its members in its own heap, as the single-process
 ``PopulationTuner`` does.  ``_spawn`` starts every worker first, with
 BLAS pinned to ``blas_threads`` in the environment the workers
-inherit, and only then pickles each shard's members and sends them as
-the first message on its pipe, so the K workers import ``repro`` in
-parallel.
+inherit and a K-th of this process's CPUs as the worker's budget of
+fine-tune lanes (:func:`repro.parallel.pinning.usable_cpus`), and only
+then pickles each shard's members and sends them as the first message
+on its pipe, so the K workers import ``repro`` in parallel.
 Members travel back to the parent only at each checkpoint (and the
 final interrupt snapshot); at finish a worker returns its sessions
 alone.  Rounds ship only per-member step events.  ``_shutdown`` stops
@@ -53,7 +54,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
-from repro.parallel.pinning import blas_env, shard_plan
+from repro.parallel.pinning import blas_env, shard_plan, usable_cpus
 
 __all__ = ["ShardCrash", "ShardStats", "ShardedPopulation"]
 
@@ -135,8 +136,9 @@ def _snapshot_bytes(payload, members) -> bytes:
     )
 
 
-def _shard_worker_main(conn, lo: int, steps: int) -> None:
-    """Entry point of one shard worker (spawn start method).
+def _shard_worker_main(conn, lo: int, steps: int, cpus: int) -> None:
+    """Entry point of one shard worker (spawn start method), whose
+    population runs its fine-tune blocks on at most ``cpus`` lanes.
 
     Protocol (all messages are tuples, parent → worker):
 
@@ -155,6 +157,7 @@ def _shard_worker_main(conn, lo: int, steps: int) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.core.population import PopulationTuner
 
+    pop = None
     try:
         first = conn.recv()
         if first[0] != "members":  # stopped before its members arrived
@@ -169,6 +172,7 @@ def _shard_worker_main(conn, lo: int, steps: int) -> None:
             sessions=payload["sessions"],
             start_steps=payload["start_steps"],
         )
+        pop._cpus = cpus
         pop.begin(steps)
         conn.send(("ready", len(pop)))
         while True:
@@ -200,6 +204,8 @@ def _shard_worker_main(conn, lo: int, steps: int) -> None:
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - parent gone
         pass
     finally:
+        if pop is not None:
+            pop.close()
         conn.close()
 
 
@@ -295,6 +301,7 @@ class ShardedPopulation:
         """
         ctx = mp.get_context("spawn")
         pinned = blas_env(self.blas_threads)
+        cpus = usable_cpus(len(self.shard_ranges))
         caller = {var: os.environ.get(var) for var in pinned}
         os.environ.update(pinned)
         try:
@@ -302,7 +309,7 @@ class ShardedPopulation:
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_shard_worker_main,
-                    args=(child_conn, lo, steps),
+                    args=(child_conn, lo, steps, cpus),
                     name=f"repro-shard-{s}",
                     daemon=True,
                 )

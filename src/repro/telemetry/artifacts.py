@@ -49,10 +49,10 @@ class ArtifactError(Exception):
 def classify_artifact(text: str) -> str:
     """Sniff what kind of artifact a file holds from its content.
 
-    JSONL span traces, JSONL event logs (ledgers and bus streams too),
-    run manifests, Chrome trace exports, heartbeat documents and JSON
-    metrics dumps are told apart by their first record; anything that
-    is not JSON is Prometheus text (whose grammar is "anything
+    JSONL span traces, cost ledgers, JSONL event logs (bus streams
+    too), run manifests, Chrome trace exports, heartbeat documents and
+    JSON metrics dumps are told apart by their first record; anything
+    that is not JSON is Prometheus text (whose grammar is "anything
     line-oriented").
     """
     if not text.strip():
@@ -69,6 +69,8 @@ def classify_artifact(text: str) -> str:
         return "prometheus"
     if "duration_s" in record and "id" in record:
         return "trace"
+    if record.get("kind") == "ledger-header":
+        return "ledger"
     if "kind" in record and "ts" in record:
         return "events"
     if "run_id" in record:
@@ -117,11 +119,16 @@ def render_artifact(
             f"{path}: a heartbeat document; read it with 'repro telemetry "
             f"watch {path}'"
         )
+    if kind == "ledger" and not dump:
+        raise ArtifactError(
+            f"{path}: a tuning-cost ledger; read it with 'repro explain "
+            f"{path}'"
+        )
     if kind == "unknown-json":
         raise ArtifactError(f"{path}: JSON, but not a telemetry artifact")
     if kind == "trace":
         return _render_trace(text, dump, min_duration_s), []
-    if kind == "events":
+    if kind in ("events", "ledger"):
         return _render_events(path, text, dump)
     if kind == "manifest":
         return _render_manifest(path, dump), []

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any
 
 from ..utils.jsonl import read_jsonl
+from .artifacts import classify_artifact
 from .bus import TIMELINE_NAME
 from .diagnostics import SEVERITY_RANK, replay_events
 from .heartbeat import scan_heartbeats
@@ -155,23 +156,32 @@ def _engine_event_alerts(
     return alerts
 
 
-def _find_events_file(run_dir: Path) -> Path | None:
-    """Pick the richest event stream available under a run directory."""
+def _find_events(run_dir: Path) -> tuple[Path | None, list[dict]]:
+    """Pick the richest event stream available under a run directory:
+    its path and records.  A span trace or a cost ledger, told apart by
+    its first line, is never read in full."""
     timeline = run_dir / TIMELINE_NAME
     if timeline.is_file():
-        return timeline
-    candidates = sorted(run_dir.glob("*.jsonl"))
+        return timeline, read_jsonl(timeline)[0]
     diagnosable = (
         ("online-step", "offline-step", "alert")
         + tuple(_ENGINE_EVENT_SEVERITY)
     )
-    best: tuple[int, Path] | None = None
-    for path in candidates:
+    best: tuple[int, Path | None, list[dict]] = (0, None, [])
+    for path in sorted(run_dir.glob("*.jsonl")):
+        if classify_artifact(_first_line(path)) in ("trace", "ledger"):
+            continue
         records, _ = read_jsonl(path)
         score = sum(1 for r in records if r.get("kind") in diagnosable)
-        if score and (best is None or score > best[0]):
-            best = (score, path)
-    return best[1] if best else None
+        if score > best[0]:
+            best = (score, path, records)
+    return best[1], best[2]
+
+
+def _first_line(path: Path) -> str:
+    """The first non-blank line of a text file (``""`` when none)."""
+    with path.open("r", encoding="utf-8") as fh:
+        return next((line for line in fh if line.strip()), "")
 
 
 def _load_manifest(run_dir: Path) -> dict[str, Any] | None:
@@ -242,12 +252,11 @@ def diagnose_run(target: str | Path) -> dict[str, Any]:
     target = Path(target)
     if target.is_dir():
         run_dir = target
-        events_path = _find_events_file(run_dir)
+        events_path, records = _find_events(run_dir)
     else:
         run_dir = target.parent
         events_path = target
-
-    records = read_jsonl(events_path)[0] if events_path else []
+        records = read_jsonl(events_path)[0]
     live_alerts = [r for r in records if r.get("kind") == "alert"]
     engine_alerts = _engine_event_alerts(records)
     if live_alerts:

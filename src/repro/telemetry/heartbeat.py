@@ -257,6 +257,14 @@ def default_stale_after(doc: dict[str, Any]) -> float:
     return 10.0
 
 
+def _finished(doc: dict[str, Any]) -> bool:
+    """A terminal marker, or every step done."""
+    total = doc.get("total_steps")
+    return bool(doc.get("finished")) or bool(
+        total and doc.get("step", 0) >= total
+    )
+
+
 def heartbeat_status(
     doc: dict[str, Any],
     age_s: float,
@@ -274,10 +282,7 @@ def heartbeat_status(
     process died mid-run — ``crashed``, not merely ``stalled``; ``None``
     (unknown) falls back to pure mtime staleness.
     """
-    if doc.get("finished"):
-        return "done"
-    total = doc.get("total_steps")
-    if total and doc.get("step", 0) >= total:
+    if _finished(doc):
         return "done"
     if alive is False:
         return "crashed"
@@ -300,13 +305,14 @@ def _fmt_duration(seconds: float | None) -> str:
 
 
 def render_heartbeat(doc: dict[str, Any]) -> str:
-    """One status line for the CLI watcher."""
+    """One status line for the CLI watcher; a document more than a
+    minute old is marked ``(stale)`` unless its run finished."""
     total = doc.get("total_steps")
     progress = (
         f"{doc['step']}/{total}" if total else f"{doc['step']}"
     )
     age = time.time() - doc.get("updated_at", time.time())
-    stale = "  (stale)" if age > 60 else ""
+    stale = "  (stale)" if age > 60 and not _finished(doc) else ""
     extras = ""
     resilience = doc.get("resilience") or {}
     if any(resilience.values()):

@@ -1,13 +1,19 @@
 """Post-mortem doctor: ranking, rendering, CLI exit codes."""
 
 import json
+from pathlib import Path
 
 from repro.cli import main
+from repro.telemetry import doctor
 from repro.telemetry.doctor import (
     REMEDIATIONS,
     diagnose_run,
     render_diagnosis,
 )
+from repro.utils.jsonl import read_jsonl
+
+#: a tune run's artifacts: events, span trace, ledger, heartbeat, ...
+CLI_RUN = Path(__file__).parent / "data" / "cli_artifacts" / "run"
 
 
 def _write_events(path, records):
@@ -111,6 +117,20 @@ class TestDiagnoseRun:
         report = diagnose_run(run)
         assert report["healthy"]
         assert report["run"]["events_file"] is None
+
+    def test_reads_only_the_events_stream_of_a_run_dir(self, monkeypatch):
+        """A run directory's span trace and cost ledger are told apart
+        by their first record, and the chosen stream is read once."""
+        read = []
+
+        def spy(path_or_lines):
+            read.append(Path(path_or_lines).name)
+            return read_jsonl(path_or_lines)
+
+        monkeypatch.setattr(doctor, "read_jsonl", spy)
+        report = diagnose_run(CLI_RUN)
+        assert report["run"]["events_file"].endswith("events.jsonl")
+        assert read == ["events.jsonl"]
 
 
 class TestEngineFindings:

@@ -270,6 +270,25 @@ class TestHeartbeatReader:
         assert "1.4h" in line  # hour formatting
         assert "eta        ?" in line
 
+    @pytest.mark.parametrize("ending", [
+        {"finished": "completed", "step": 2},
+        {"step": 4},
+    ])
+    def test_render_never_marks_a_finished_run_stale(self, ending):
+        """An hour-old document of a run that finished (a terminal
+        marker, or every step done) is what ``top`` reports as DONE."""
+        doc = {
+            "phase": "online-tune",
+            "total_steps": 4,
+            "elapsed_s": 12.0,
+            "eta_s": 0.0,
+            "updated_at": time.time() - 3600,
+            "pid": 1,
+            **ending,
+        }
+        assert heartbeat_status(doc, age_s=3600.0) == "done"
+        assert "(stale)" not in render_heartbeat(doc)
+
 
 class TestTeeLogger:
     def test_fans_out_and_skips_none(self, tmp_path):

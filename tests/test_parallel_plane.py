@@ -8,6 +8,8 @@ crash handling) lives in ``test_sharded_population.py``.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.parallel import (
@@ -16,7 +18,7 @@ from repro.parallel import (
     limit_blas_threads,
     shard_plan,
 )
-from repro.parallel.pinning import _BLAS_ENV_VARS
+from repro.parallel.pinning import _BLAS_ENV_VARS, _blas_pools, usable_cpus
 
 
 class TestShardPlan:
@@ -50,12 +52,24 @@ class TestShardPlan:
             shard_plan(4, 0)
 
 
+@pytest.fixture
+def blas_restored():
+    """Give every loaded BLAS pool its thread count back after a test
+    that pins this process."""
+    _, pools = _blas_pools()
+    counts = [get() for get, _ in pools]
+    yield
+    for (_, set_threads), count in zip(pools, counts):
+        set_threads(count)
+
+
 class TestPinning:
     def test_blas_env_covers_all_knobs(self):
         env = blas_env(3)
         assert set(env) == set(_BLAS_ENV_VARS)
         assert all(v == "3" for v in env.values())
 
+    @pytest.mark.usefixtures("blas_restored")
     def test_limit_reports_mechanism(self, monkeypatch):
         for var in _BLAS_ENV_VARS:
             monkeypatch.delenv(var, raising=False)
@@ -70,6 +84,60 @@ class TestPinning:
         assert isinstance(threads, int)
         assert threads >= 1
 
+    @pytest.mark.usefixtures("blas_restored")
     def test_non_positive_budget_clamps_to_one(self):
         assert blas_env(0)["OMP_NUM_THREADS"] == "1"
         assert limit_blas_threads(0) in ("threadpoolctl", "openblas", "env")
+
+    def test_getters_report_the_pools_not_the_environment(
+        self, unpinned_python
+    ):
+        """numpy reads the variables once, when it loads: set later they
+        change nothing, and the getters say so."""
+        out = unpinned_python("""
+import json, os
+import numpy
+from repro.parallel.pinning import (
+    _BLAS_ENV_VARS, effective_blas_threads, limit_blas_threads)
+
+before = effective_blas_threads()
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+late_env = effective_blas_threads()
+how = limit_blas_threads(1)
+for var in _BLAS_ENV_VARS:
+    del os.environ[var]
+print(json.dumps({"before": before, "late_env": late_env, "how": how,
+                  "after": effective_blas_threads()}))
+""")
+        assert out["how"] in ("threadpoolctl", "openblas")
+        assert out["late_env"] == out["before"]
+        assert out["after"] == 1
+        if len(os.sched_getaffinity(0)) > 1:
+            assert out["before"] > 1
+
+    def test_engine_pool_workers_run_one_blas_thread(self, unpinned_python):
+        out = unpinned_python("""
+import json
+from repro.experiments.engine import ExperimentEngine, TaskSpec, task_kind
+from repro.parallel.pinning import effective_blas_threads
+
+@task_kind("blas-threads-probe")
+def probe(*, seed):
+    return effective_blas_threads()
+
+with ExperimentEngine(jobs=2) as engine:
+    workers = engine.run(
+        [TaskSpec("blas-threads-probe", {"seed": s}) for s in range(2)])
+print(json.dumps({"parent": effective_blas_threads(), "workers": workers}))
+""")
+        assert out["workers"] == [1, 1]
+        if len(os.sched_getaffinity(0)) > 1:
+            assert out["parent"] > 1
+
+
+class TestUsableCpus:
+    def test_divides_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert usable_cpus() == 3
+        assert usable_cpus(2) == 1
+        assert usable_cpus(5) == 1

@@ -17,7 +17,7 @@ from repro.agents.base import AgentHyperParams, critic_input
 from repro.agents.ddpg import DDPGAgent
 from repro.agents.td3 import TD3Agent
 from repro.nn.layers import Sigmoid, sigmoid
-from repro.nn.population import _StackedSigmoid
+from repro.nn.population import Workspace, _StackedSigmoid
 from repro.nn.target import soft_update
 from repro.replay.base import ReplayBatch
 
@@ -193,7 +193,7 @@ class TestSigmoid:
                                            max_side=12), elements=_FLOATS))
     @settings(max_examples=100, deadline=None)
     def test_stacked_layer_bits_equal_sign_split(self, x):
-        got = _StackedSigmoid().forward(x)
+        got = _StackedSigmoid().forward(x, slice(None), False, Workspace())
         assert got.tobytes() == _sign_split(x).tobytes()
 
     def test_edge_values(self):
