@@ -40,9 +40,6 @@ _CLUSTERS = {"cluster-a": CLUSTER_A, "cluster-b": CLUSTER_B}
 #: conventional exit status for "terminated by SIGINT"
 _INTERRUPTED_RC = 130
 
-#: the committed regression-gate baseline (``bench run --out`` rewrites it)
-BASELINE_BENCH_PATH = "benchmarks/baselines/BENCH_baseline.json"
-
 
 @contextlib.contextmanager
 def _sigterm_as_interrupt():
@@ -202,11 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(a single session always runs in-process); "
              "results are bit-identical to --shards 1",
     )
-    p_tune.add_argument(
-        "--blas-threads", type=int, default=1, metavar="T",
-        help="BLAS threads per shard worker (default: 1 — process-level "
-             "parallelism wants single-threaded math kernels)",
-    )
 
     p_eval = sub.add_parser(
         "evaluate", help="run one configuration on the simulator"
@@ -336,48 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the K knobs with the widest cost spread across "
              "evaluated configs (default: 8)",
     )
-
-    p_bench = sub.add_parser(
-        "bench", help="micro-benchmarks and regression gating"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_action", required=True)
-
-    pb_run = bench_sub.add_parser("run", help="measure and write BENCH_*.json")
-    pb_run.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="output file (default: BENCH_<utc-timestamp>.json)",
-    )
-    pb_run.add_argument("--repetitions", type=int, default=5)
-    pb_run.add_argument("--warmup", type=int, default=1)
-    pb_run.add_argument(
-        "--only", action="append", default=[], metavar="NAME",
-        help="run only the named benchmark (repeatable)",
-    )
-    pb_run.add_argument(
-        "--no-alloc", action="store_true",
-        help="skip the tracemalloc allocation pass",
-    )
-
-    pb_cmp = bench_sub.add_parser(
-        "compare", help="gate a candidate bench file against a baseline"
-    )
-    pb_cmp.add_argument("candidate", help="candidate BENCH_*.json")
-    pb_cmp.add_argument(
-        "baseline", nargs="?", default=BASELINE_BENCH_PATH,
-        help=f"baseline bench file (default: {BASELINE_BENCH_PATH})",
-    )
-    pb_cmp.add_argument(
-        "--threshold", type=float, default=None, metavar="FRAC",
-        help="median slowdown that fails the gate (default: 0.25 = 25%%)",
-    )
-    pb_cmp.add_argument(
-        "--check-schema", action="store_true",
-        help="only validate both documents against the bench schema; "
-             "no timing comparison (CI mode — timings are not asserted "
-             "on shared runners)",
-    )
-
-    bench_sub.add_parser("list", help="list registered benchmarks")
     return parser
 
 
@@ -747,7 +697,7 @@ def _cmd_tune(args) -> int:
                 population = ShardedPopulation(
                     tuners, envs, shards=args.shards, telemetry=ctx,
                     resiliences=resiliences, sessions=sessions,
-                    start_steps=start_steps, blas_threads=args.blas_threads,
+                    start_steps=start_steps,
                 )
                 try:
                     sessions = population.tune(
@@ -1046,84 +996,6 @@ def _cmd_explain(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json as _json
-
-    from repro.bench import (
-        DEFAULT_THRESHOLD,
-        compare_docs,
-        get_benchmark,
-        iter_benchmarks,
-        load_doc,
-        render_comparison,
-        run_benchmarks,
-    )
-
-    if args.bench_action == "list":
-        for b in iter_benchmarks():
-            print(f"{b.name:<24} x{b.items:<5} {b.description}")
-        return 0
-
-    if args.bench_action == "run":
-        if args.repetitions < 1:
-            print("bench run: --repetitions must be >= 1", file=sys.stderr)
-            return 2
-        try:
-            selected = [get_benchmark(name) for name in args.only]
-        except KeyError as exc:
-            print(f"bench run: {exc.args[0]}", file=sys.stderr)
-            return 2
-        doc = run_benchmarks(
-            selected,
-            repetitions=args.repetitions,
-            warmup=args.warmup,
-            track_alloc=not args.no_alloc,
-            progress=lambda b: print(f"bench: {b.name} ...", flush=True),
-        )
-        if args.out:
-            out = args.out
-        else:
-            stamp = doc["created_at"].replace(":", "").replace("-", "")
-            stamp = stamp.split(".")[0].replace("T", "-")
-            out = f"BENCH_{stamp}.json"
-        with open(out, "w", encoding="utf-8") as fh:
-            _json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        for r in doc["results"]:
-            thr = r["throughput_per_s"]
-            print(
-                f"{r['name']:<24} median {r['median_s'] * 1e3:9.3f}ms "
-                f"(p10 {r['p10_s'] * 1e3:8.3f} / p90 "
-                f"{r['p90_s'] * 1e3:8.3f})  {thr:10.1f} items/s"
-            )
-        print(f"wrote {out} ({len(doc['results'])} benchmark(s))")
-        return 0
-
-    # compare
-    try:
-        candidate = load_doc(args.candidate)
-        baseline = load_doc(args.baseline)
-    except ValueError as exc:
-        print(f"bench compare: {exc}", file=sys.stderr)
-        return 2
-    if args.check_schema:
-        print(
-            f"bench compare: schemas OK "
-            f"({len(candidate['results'])} candidate / "
-            f"{len(baseline['results'])} baseline result(s))"
-        )
-        return 0
-    threshold = (
-        args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    )
-    if threshold <= 0:
-        print("bench compare: --threshold must be positive", file=sys.stderr)
-        return 2
-    cmp = compare_docs(candidate, baseline, threshold=threshold)
-    print(render_comparison(cmp))
-    return 0 if cmp.ok else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -1136,7 +1008,6 @@ def main(argv: list[str] | None = None) -> int:
         "telemetry": _cmd_telemetry,
         "explain": _cmd_explain,
         "doctor": _cmd_doctor,
-        "bench": _cmd_bench,
     }
     return handlers[args.command](args)
 

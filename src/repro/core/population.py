@@ -89,7 +89,7 @@ from repro.core.twinq import (
 from repro.envs.population import VectorTuningEnv
 from repro.envs.tuning_env import TuningEnv
 from repro.nn.population import Workspace
-from repro.parallel.pinning import one_blas_thread, usable_cpus
+from repro.parallel.pinning import blas_pools, one_blas_thread, usable_cpus
 from repro.replay.rdper import RewardDrivenReplayBuffer
 from repro.replay.uniform import UniformReplayBuffer
 
@@ -625,20 +625,22 @@ class PopulationTuner:
         cpus = self._cpus or usable_cpus()
         lanes = min(len(blocks), cpus)
         if lanes > 1:
-            with one_blas_thread() as single:
+            if self._lanes is None:
+                self._lanes = _Lanes(self.view, cpus - 1)
+            with one_blas_thread(self._lanes.blas) as single:
                 if single:
-                    if self._lanes is None:
-                        self._lanes = _Lanes(self.view, cpus - 1)
                     return self._lanes.run(blocks, lanes)
         return [self.view.update_block(*block) for block in blocks]
 
 
 class _Lanes:
-    """The threads and workspaces that run a round's fine-tune blocks.
+    """The threads and workspaces that run a round's fine-tune blocks,
+    and the BLAS pools pinned while they run.
 
     Lane ``k`` runs blocks ``k, k + lanes, ...`` in order, into
     workspace ``k``: lane 0 on the calling thread with the view's own
-    workspace, the others on a pool of ``threads`` threads.
+    workspace, the others on a pool of ``threads`` threads.  The BLAS
+    pools are looked up once, here: no round loads a BLAS library.
     """
 
     def __init__(self, view: PopulationTD3View, threads: int):
@@ -649,6 +651,7 @@ class _Lanes:
             max_workers=threads, thread_name_prefix="repro-lane"
         )
         self.workspaces = [view.workspace]
+        self.blas = blas_pools()
 
     def run(self, blocks: list[tuple], lanes: int) -> list[list[list[dict]]]:
         """Every block's result in block order.  Every lane has finished

@@ -1047,12 +1047,13 @@ def _execute_task_bus(
         writer.close()
 
 
-def _engine_worker_init(blas_threads: int) -> None:
-    """Per-worker initializer of the persistent pool: pin BLAS pools
-    once at spawn so K workers x 1 BLAS thread never oversubscribe."""
+def _engine_worker_init() -> None:
+    """Per-worker initializer of the persistent pool: pin BLAS pools to
+    one thread once at spawn, since ``jobs`` workers that each run a
+    pool sized to the machine oversubscribe it."""
     from repro.parallel.pinning import limit_blas_threads
 
-    limit_blas_threads(blas_threads)
+    limit_blas_threads(1)
 
 
 #: Manager threads of pools shut down without waiting, in this process.
@@ -1149,10 +1150,6 @@ class ExperimentEngine:
         A :class:`repro.faults.WorkerChaos` worker-kill schedule (tests
         and CI soak only).  Requires ``jobs >= 2`` — an inline worker
         killing itself would take the parent with it.
-    blas_threads:
-        BLAS threads per pool worker (``jobs >= 2``); ``None`` (default)
-        pins each to one, since ``jobs`` workers that each run a BLAS
-        pool sized to the machine oversubscribe it.
     """
 
     def __init__(
@@ -1167,7 +1164,6 @@ class ExperimentEngine:
         timeout_multiple: float = 8.0,
         failure_mode: str = "strict",
         chaos=None,
-        blas_threads: int | None = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -1195,9 +1191,6 @@ class ExperimentEngine:
         self.timeout_multiple = timeout_multiple
         self.failure_mode = failure_mode
         self.chaos = chaos
-        #: BLAS thread cap applied in each pool worker's initializer
-        #: (None = one thread)
-        self.blas_threads = blas_threads
         # Persistent worker pool: created on first pooled run, reused
         # across rounds and run() calls (amortizing interpreter spawn),
         # discarded+rebuilt only after a crash/reap broke it.  The
@@ -1678,9 +1671,6 @@ class ExperimentEngine:
                 max_workers=self.jobs,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_engine_worker_init,
-                initargs=(
-                    1 if self.blas_threads is None else self.blas_threads,
-                ),
             )
             self._pool_holder["pool"] = pool
         return pool

@@ -2,8 +2,9 @@
 
 K processes each running multi-threaded BLAS oversubscribe the machine
 into a slowdown, and so do threads that call a multi-threaded BLAS at
-once (a population's fine-tune lanes).  So workers pin their BLAS pools
-to a budget (usually 1).  A pool is reached through, in order:
+once (a population's fine-tune lanes).  So workers, and lanes while
+they run, pin their BLAS pools to one thread.  A pool is reached
+through, in order:
 
 1. ``threadpoolctl``, where it is installed;
 2. the thread setter and getter of every OpenBLAS library mapped into
@@ -14,9 +15,7 @@ to a budget (usually 1).  A pool is reached through, in order:
 3. environment variables, which only reach libraries loaded *after*
    they are set: a spawned worker before it imports numpy.
 
-Correctness never depends on pinning, only throughput does.  The bench
-schema records the count the pools report (:func:`effective_blas_threads`)
-so cross-host numbers stay honest.
+Correctness never depends on pinning, only throughput does.
 """
 
 from __future__ import annotations
@@ -143,12 +142,19 @@ def effective_blas_threads() -> int:
     return os.cpu_count() or 1
 
 
+def blas_pools() -> list[_Pool]:
+    """The pool of every loaded BLAS library.  The set changes only when
+    a library loads (scipy's, when a GP tuner first imports it), so a
+    caller that pins again and again looks the pools up once."""
+    return _blas_pools()[1]
+
+
 @contextmanager
-def one_blas_thread() -> Iterator[bool]:
-    """Run the block with every loaded BLAS pool at one thread, then
-    give each pool back its count.  Yields whether BLAS runs one thread
-    inside: ``False`` when no pool could be reached and read as 1."""
-    _, pools = _blas_pools()
+def one_blas_thread(pools: list[_Pool]) -> Iterator[bool]:
+    """Run the block with each of ``pools`` (:func:`blas_pools`) at one
+    thread, then give each pool back its count.  Yields whether BLAS
+    runs one thread inside: ``False`` when there is no pool, or one
+    does not read 1."""
     counts = [get() for get, _ in pools]
     for _, set_threads in pools:
         set_threads(1)

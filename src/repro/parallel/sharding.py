@@ -13,7 +13,7 @@ Member state
 ------------
 A worker keeps its members in its own heap, as the single-process
 ``PopulationTuner`` does.  ``_spawn`` starts every worker first, with
-BLAS pinned to ``blas_threads`` in the environment the workers
+BLAS pinned to one thread in the environment the workers
 inherit and a K-th of this process's CPUs as the worker's budget of
 fine-tune lanes (:func:`repro.parallel.pinning.usable_cpus`), and only
 then pickles each shard's members and sends them as the first message
@@ -245,7 +245,6 @@ class ShardedPopulation:
         resiliences=None,
         sessions=None,
         start_steps=None,
-        blas_threads: int = 1,
     ):
         from repro.telemetry.context import NULL_CONTEXT
 
@@ -273,7 +272,6 @@ class ShardedPopulation:
         self.fine_tune_updates = fine_tune_updates
         self.exploration_sigma = exploration_sigma
         self.telemetry = telemetry if telemetry is not None else NULL_CONTEXT
-        self.blas_threads = max(1, int(blas_threads))
         self.shard_ranges = shard_plan(n, shards)
         self.stats = ShardStats(shards=len(self.shard_ranges))
         self._shards: list[_Shard] = []
@@ -300,7 +298,7 @@ class ShardedPopulation:
         once all K processes are importing in parallel.
         """
         ctx = mp.get_context("spawn")
-        pinned = blas_env(self.blas_threads)
+        pinned = blas_env(1)
         cpus = usable_cpus(len(self.shard_ranges))
         caller = {var: os.environ.get(var) for var in pinned}
         os.environ.update(pinned)

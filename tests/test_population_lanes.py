@@ -27,6 +27,7 @@ from repro.core.persistence import (
 )
 from repro.core.population import PopulationTuner
 from repro.core.result import sessions_equal
+from repro.parallel import pinning
 from repro.factory import make_env
 from repro.replay.base import Transition
 from repro.replay.rdper import RewardDrivenReplayBuffer
@@ -249,6 +250,25 @@ def test_interrupt_in_a_lane_then_resume_is_bit_identical(
         sessions=saved.sessions, start_steps=saved.next_steps,
     ).tune(steps=steps)
     assert all(sessions_equal(a, b) for a, b in zip(resumed, full))
+
+
+def test_blas_pools_are_looked_up_once_per_tune(cpus, monkeypatch):
+    """Four rounds of two blocks scan ``/proc/self/maps`` once per
+    ``tune()``, not once per round."""
+    cpus(2)
+    monkeypatch.setattr(pinning, "_threadpoolctl", lambda: None)
+    scans = []
+    original = pinning._openblas_pools
+
+    def counting():
+        scans.append(1)
+        return original()
+
+    monkeypatch.setattr(pinning, "_openblas_pools", counting)
+    _population(8).tune(steps=4)
+    assert len(scans) == 1
+    _population(8).tune(steps=4)
+    assert len(scans) == 2
 
 
 def test_unpinned_blas_runs_one_thread_during_the_blocks_only(

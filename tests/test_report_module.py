@@ -59,3 +59,28 @@ class TestReportCli:
         )
         report_mod.main()
         assert seen["engine"].cache is None
+
+
+class TestReportCommand:
+    """``repro report`` and its name ``bench-report`` dispatch to the
+    report handler; ``bench`` is no command."""
+
+    @pytest.mark.parametrize("command", ["report", "bench-report"])
+    def test_writes_the_report_and_exits_0(self, command, tmp_path,
+                                           monkeypatch):
+        import repro.experiments.report as report_mod
+        from repro.cli import main
+
+        monkeypatch.setattr(report_mod, "build_report",
+                            lambda scale, *, engine=None: f"# stub ({scale})\n")
+        out = tmp_path / "E.md"
+        assert main([command, "--output", str(out), "--no-cache"]) == 0
+        assert out.read_text() == "# stub (quick)\n"
+
+    def test_bench_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "list"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
