@@ -28,7 +28,7 @@ def sweep_memory_cliff() -> None:
     rows = []
     for heap in (6144, 4096, 3072, 2048, 1536, 1024):
         config = dict(base, **{"spark.executor.memory": heap})
-        result = env.runner.simulator.evaluate(config)
+        result = env.simulator.evaluate(config)
         if result.success:
             iter_stage = result.stage("assign-iter-0")
             rows.append(

@@ -50,8 +50,8 @@ class BestConfigTuner:
             raise ValueError("steps must be positive")
         session = OnlineSession(
             tuner="BestConfig",
-            workload=env.runner.workload.code,
-            dataset=env.runner.dataset.label,
+            workload=env.simulator.workload.code,
+            dataset=env.simulator.dataset.label,
             default_duration_s=env.default_duration,
         )
         dim = env.action_dim

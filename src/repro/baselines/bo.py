@@ -66,8 +66,8 @@ class BayesOptTuner:
             raise ValueError("steps must be positive")
         session = OnlineSession(
             tuner="BayesOpt",
-            workload=env.runner.workload.code,
-            dataset=env.runner.dataset.label,
+            workload=env.simulator.workload.code,
+            dataset=env.simulator.dataset.label,
             default_duration_s=env.default_duration,
         )
         design = env.space.latin_hypercube(

@@ -172,8 +172,8 @@ class OtterTune:
             raise ValueError("steps must be positive")
         session = OnlineSession(
             tuner="OtterTune",
-            workload=env.runner.workload.code,
-            dataset=env.runner.dataset.label,
+            workload=env.simulator.workload.code,
+            dataset=env.simulator.dataset.label,
             default_duration_s=env.default_duration,
         )
         target_x: list[np.ndarray] = []

@@ -38,8 +38,8 @@ class RandomSearchTuner:
             raise ValueError("steps must be positive")
         session = OnlineSession(
             tuner="RandomSearch",
-            workload=env.runner.workload.code,
-            dataset=env.runner.dataset.label,
+            workload=env.simulator.workload.code,
+            dataset=env.simulator.dataset.label,
             default_duration_s=env.default_duration,
         )
         if time_budget_s is None:

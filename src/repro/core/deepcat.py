@@ -216,5 +216,5 @@ class DeepCAT:
         )
         manifest.record_cluster(env.cluster)
         if manifest.workload is None:
-            manifest.workload = env.runner.workload.code
-            manifest.dataset = env.runner.dataset.label
+            manifest.workload = env.simulator.workload.code
+            manifest.dataset = env.simulator.dataset.label

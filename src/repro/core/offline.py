@@ -75,10 +75,8 @@ class OfflineTrainer:
     def _absorb(self, it, outcome, q_est, callback, warmup=False) -> None:
         """Push one outcome into replay, run updates, log, emit telemetry.
 
-        Shared by the sequential loop and the batched LHS warmup so both
-        perform identical bookkeeping per evaluation.  ``warmup`` routes
-        the ledger charge to the warmup account (random/LHS exploration
-        before the agent starts acting).
+        ``warmup`` routes the ledger charge to the warmup account (random
+        exploration before the agent starts acting).
         """
         t = self.telemetry
         if t.ledger.enabled:
@@ -172,21 +170,11 @@ class OfflineTrainer:
         env: TuningEnv,
         iterations: int,
         callback: Callable[[int, OfflineTrainingLog], None] | None = None,
-        *,
-        lhs_warmup: bool = False,
     ) -> OfflineTrainingLog:
         """Run ``iterations`` environment steps with interleaved updates.
 
         Each iteration is one costly configuration evaluation on the
         target cluster — the unit the paper's Figure 4 x-axis counts.
-
-        ``lhs_warmup=True`` replaces the uniform per-step warmup actions
-        with one Latin-hypercube draw evaluated through the simulator's
-        batched fast path (space-filling coverage, one vectorized
-        evaluation).  Replay pushes, agent updates, logging, and
-        telemetry still happen per outcome in order.  Off by default:
-        it changes which warmup configurations are explored, so runs are
-        only reproducible against other ``lhs_warmup=True`` runs.
         """
         if iterations <= 0:
             raise ValueError("iterations must be positive")
@@ -199,24 +187,8 @@ class OfflineTrainer:
             self.agent.telemetry = t
         state = env.state
         warmup = self.agent.hp.warmup_steps
-        start = 0
         with t.span("offline.train", iterations=iterations):
-            if lhs_warmup and len(self.buffer) < warmup:
-                n = min(warmup - len(self.buffer), iterations)
-                # Same stream random_action() would have consumed.
-                vectors = env.space.latin_hypercube(self.agent._rng, n)
-                with t.span("offline.warmup-batch", candidates=n):
-                    outcomes = env.step_batch(vectors)
-                for it, outcome in enumerate(outcomes):
-                    with t.span("offline.step", iteration=it):
-                        q_est = self._q_estimate(
-                            outcome.state, outcome.action
-                        )
-                        self._absorb(it, outcome, q_est, callback,
-                                     warmup=True)
-                state = env.state
-                start = n
-            for it in range(start, iterations):
+            for it in range(iterations):
                 with t.span("offline.step", iteration=it):
                     in_warmup = len(self.buffer) < warmup
                     if in_warmup:

@@ -101,8 +101,8 @@ class OnlineTuner:
         if session is None:
             session = OnlineSession(
                 tuner=self.name,
-                workload=env.runner.workload.code,
-                dataset=env.runner.dataset.label,
+                workload=env.simulator.workload.code,
+                dataset=env.simulator.dataset.label,
                 default_duration_s=env.default_duration,
             )
         # Resume from what the metric collector last reported (identical

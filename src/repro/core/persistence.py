@@ -37,12 +37,12 @@ previous file.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
 import os
 import pickle
+import types
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
@@ -257,44 +257,6 @@ class PopulationCheckpoint:
     resiliences: list
 
 
-def _telemetry_attachment_points(tuner, env):
-    """Every ``(obj, attr)`` through which live telemetry (lock-bearing
-    tracers/registries) can leak into the pickled object graph."""
-    points = []
-    agent = getattr(tuner, "agent", None)
-    if agent is not None and hasattr(agent, "telemetry"):
-        points.append((agent, "telemetry"))
-    buffer = getattr(tuner, "buffer", None)
-    if buffer is not None and hasattr(buffer, "_telemetry"):
-        points.append((buffer, "_telemetry"))
-    simulator = getattr(getattr(env, "runner", None), "simulator", None)
-    if simulator is not None and hasattr(simulator, "telemetry"):
-        points.append((simulator, "telemetry"))
-    return points
-
-
-@contextlib.contextmanager
-def _telemetry_detached(tuner, env):
-    """Temporarily swap live telemetry for the null context.
-
-    Live tracers/registries hold ``threading.Lock`` (and
-    ``threading.local``) and cannot be pickled; telemetry is shared
-    infrastructure, not run state, so it is excluded from checkpoints
-    and reattached by the caller after a restore.
-    """
-    from repro.telemetry.context import NULL_CONTEXT
-
-    points = _telemetry_attachment_points(tuner, env)
-    saved = [(obj, attr, getattr(obj, attr)) for obj, attr in points]
-    for obj, attr in points:
-        setattr(obj, attr, NULL_CONTEXT)
-    try:
-        yield
-    finally:
-        for obj, attr, value in saved:
-            setattr(obj, attr, value)
-
-
 def save_population_checkpoint(
     path: str | Path,
     *,
@@ -308,9 +270,10 @@ def save_population_checkpoint(
 
     The tmp-file + ``os.replace`` dance guarantees the file at ``path``
     is always a complete checkpoint — a kill during the write leaves the
-    previous snapshot intact.  Live telemetry is detached from every
-    member's object graph while it pickles, so a restored member resumes
-    bit-identically whether it rejoins a population or continues alone.
+    previous snapshot intact.  Live telemetry pickles as the null
+    context (see ``RunContext.__reduce__``), so a restored member
+    resumes bit-identically whether it rejoins a population or
+    continues alone.
     """
     path = Path(path)
     tuners = list(tuners)
@@ -340,11 +303,8 @@ def save_population_checkpoint(
             )
         ],
     }
-    with contextlib.ExitStack() as stack:
-        for tuner, env in zip(tuners, envs):
-            stack.enter_context(_telemetry_detached(tuner, env))
-        _write_atomic(path, lambda fh: pickle.dump(
-            payload, fh, protocol=pickle.HIGHEST_PROTOCOL))
+    _write_atomic(path, lambda fh: pickle.dump(
+        payload, fh, protocol=pickle.HIGHEST_PROTOCOL))
     return path
 
 
@@ -354,11 +314,17 @@ class _CheckpointUnpickler(pickle.Unpickler):
     Checkpoints written before the phase profiler was removed carry the
     detached null context with its null profiler.  Nothing reads that
     object after a restore, so it loads as a plain ``object``.
+    Checkpoints written before the environment held its simulator carry
+    a HiBench-style ``BenchmarkRunner`` and its ``BenchReport`` history;
+    both load as plain namespaces, and ``TuningEnv.__setstate__`` takes
+    the simulator out of the runner.
     """
 
     def find_class(self, module: str, name: str) -> Any:
         if module == "repro.telemetry.profiling":
             return object
+        if module.startswith("repro.hibench."):
+            return types.SimpleNamespace
         return super().find_class(module, name)
 
 

@@ -130,6 +130,6 @@ class DynamicTuningEnv:
         return outcome
 
     @property
-    def runner(self):
-        """Active phase's runner (interface parity with TuningEnv)."""
-        return self.current_env.runner
+    def simulator(self):
+        """Active phase's simulator (interface parity with TuningEnv)."""
+        return self.current_env.simulator

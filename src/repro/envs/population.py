@@ -51,8 +51,8 @@ class VectorTuningEnv:
         lead = envs[0]
         for env in envs[1:]:
             if (
-                env.runner.workload.code != lead.runner.workload.code
-                or env.runner.dataset.label != lead.runner.dataset.label
+                env.simulator.workload.code != lead.simulator.workload.code
+                or env.simulator.dataset.label != lead.simulator.dataset.label
                 or env.cluster != lead.cluster
                 or env.space.dim != lead.space.dim
             ):
@@ -102,7 +102,7 @@ class VectorTuningEnv:
             )
         vecs = np.clip(mat, 0.0, 1.0)
         configs = self.space.decode_batch(vecs)
-        sims = [self.envs[i].runner.simulator for i in idx]
+        sims = [self.envs[i].simulator for i in idx]
         results = evaluate_population(sims, vecs, self.space)
         return [
             self.envs[i]._absorb_result(result, vecs[r].copy(), configs[r])

@@ -21,7 +21,7 @@ from repro.cluster.state import ClusterStateTracker
 from repro.config.space import ConfigurationSpace
 from repro.envs.reward import RewardFunction
 from repro.faults import FaultInjector, FaultProfile, get_profile
-from repro.hibench.runner import BenchmarkRunner
+from repro.sim.engine import SparkSimulator
 from repro.sim.result import ExecutionResult
 from repro.workloads.base import DatasetSpec, Workload
 
@@ -64,18 +64,15 @@ class TuningEnv:
         # fault-free environments stay bit-identical to older builds.
         state_rng, sim_rng, fault_rng = rng.spawn(3)
         self.space = space
-        self.runner = BenchmarkRunner(
+        self.simulator = SparkSimulator(
             workload, dataset, cluster, sim_rng, noise_sigma=noise_sigma
         )
         self.cluster = cluster
         self._tracker = ClusterStateTracker(cluster, state_rng)
-        default_perf = self.runner.simulator.default_duration(space)
+        default_perf = self.simulator.default_duration(space)
         self.reward_fn = RewardFunction(default_perf, expected_speedup)
         self.fault_profile = get_profile(fault_profile)
         self._fault_injector = FaultInjector(self.fault_profile, fault_rng)
-        # Attach AFTER the default duration is cached: the reward
-        # baseline must come from a clean run of the defaults.
-        self.runner.simulator.fault_injector = self._fault_injector
         self._state = self._tracker.reset()
         self._last_observation: np.ndarray | None = None
         self.total_evaluation_seconds = 0.0
@@ -119,7 +116,8 @@ class TuningEnv:
 
     def attach_telemetry(self, telemetry) -> None:
         """Propagate a :class:`~repro.telemetry.context.RunContext` to
-        the underlying simulator (stage timings, fault injections).
+        the underlying simulator (stage timings), which also counts this
+        environment's fault injections.
 
         Called automatically by :class:`~repro.core.offline.OfflineTrainer`
         and :class:`~repro.core.online.OnlineTuner`; passing ``None``
@@ -127,7 +125,7 @@ class TuningEnv:
         """
         from repro.telemetry.context import NULL_CONTEXT
 
-        self.runner.simulator.telemetry = (
+        self.simulator.telemetry = (
             telemetry if telemetry is not None else NULL_CONTEXT
         )
 
@@ -138,47 +136,10 @@ class TuningEnv:
         clipping for out-of-scope recommendations), decoded, and run on
         the cluster.
         """
-        prev_state = self.state
         vec = self.space.clip_vector(np.asarray(action, dtype=np.float64))
         config = self.space.decode(vec)
-        report = self.runner.run(config)
-        result = report.result
-        reward = self.reward_fn(result.duration_s, success=result.success)
-        demand = (
-            result.cpu_demand_per_node
-            if result.cpu_demand_per_node.size
-            else np.full(self.cluster.n_nodes, 0.1)
-        )
-        # The tracker always folds in the true demand — the cluster's
-        # load exists whether or not the metric collector sees it; only
-        # the *observation* handed back may be corrupted.
-        self._state = self._tracker.observe(demand)
-        observation, n_dropped = self._fault_injector.corrupt_state(
-            self.state
-        )
-        self._last_observation = observation
-        faults = result.injected_faults
-        if n_dropped:
-            faults = (*faults, "metric-dropout")
-            self.runner.simulator.telemetry.count(
-                "faults.injected_total",
-                n_dropped,
-                help="stochastic chaos injections by kind",
-                kind="metric-dropout",
-            )
-        self.total_evaluation_seconds += result.duration_s
-        self.steps_taken += 1
-        return StepOutcome(
-            state=prev_state,
-            action=vec,
-            reward=float(reward),
-            next_state=observation,
-            duration_s=result.duration_s,
-            success=result.success,
-            config=config,
-            result=result,
-            faults=faults,
-        )
+        result = self.simulator.evaluate(config)
+        return self._absorb_result(result, vec, config)
 
     def step_batch(self, actions: np.ndarray) -> list[StepOutcome]:
         """Evaluate ``n`` actions through the vectorized simulator path.
@@ -197,17 +158,11 @@ class TuningEnv:
             )
         vecs = np.clip(mat, 0.0, 1.0)
         configs = self.space.decode_batch(vecs)
-        sim = self.runner.simulator
-        # Fault perturbation is interleaved with metric dropout on the
-        # same generator, so it must happen per-step here rather than
-        # batched inside the simulator.
-        results = sim.evaluate_batch(vecs, self.space, apply_faults=False)
-        outcomes: list[StepOutcome] = []
-        for i, result in enumerate(results):
-            outcomes.append(
-                self._absorb_result(result, vecs[i].copy(), configs[i])
-            )
-        return outcomes
+        results = self.simulator.evaluate_batch(vecs, self.space)
+        return [
+            self._absorb_result(result, vecs[i].copy(), configs[i])
+            for i, result in enumerate(results)
+        ]
 
     def _absorb_result(
         self,
@@ -215,32 +170,28 @@ class TuningEnv:
         vec: np.ndarray,
         config: dict[str, Any],
     ) -> StepOutcome:
-        """Fold one *clean* (fault-free, unrecorded) simulator result into
-        the environment, bit-identically to the tail of :meth:`step`.
+        """Turn one clean simulator result into this environment's step.
 
-        Shared by :meth:`step_batch` and the population environment
-        (:class:`~repro.envs.population.VectorTuningEnv`): both evaluate
-        through the vectorized simulator with ``apply_faults=False`` and
-        then interleave fault perturbation with metric dropout per step,
-        in the exact scalar RNG order.
+        Every step comes through here: :meth:`step`, :meth:`step_batch`
+        and the population environment
+        (:class:`~repro.envs.population.VectorTuningEnv`).  The fault
+        generator draws the result's perturbation before the
+        observation's dropout, so its stream has one order whichever
+        path evaluated the configuration.
         """
-        sim = self.runner.simulator
         prev_state = self.state
-        if self._fault_injector.enabled:
-            result, injected = self._fault_injector.perturb_result(result)
-            for kind in injected:
-                sim.telemetry.count(
-                    "faults.injected_total",
-                    help="stochastic chaos injections by kind",
-                    kind=kind,
-                )
-        self.runner.record(result)
+        result, injected = self._fault_injector.perturb_result(result)
+        for kind in injected:
+            self._count_faults(kind)
         reward = self.reward_fn(result.duration_s, success=result.success)
         demand = (
             result.cpu_demand_per_node
             if result.cpu_demand_per_node.size
             else np.full(self.cluster.n_nodes, 0.1)
         )
+        # The tracker always folds in the true demand — the cluster's
+        # load exists whether or not the metric collector sees it; only
+        # the *observation* handed back may be corrupted.
         self._state = self._tracker.observe(demand)
         observation, n_dropped = self._fault_injector.corrupt_state(
             self.state
@@ -249,12 +200,7 @@ class TuningEnv:
         faults = result.injected_faults
         if n_dropped:
             faults = (*faults, "metric-dropout")
-            sim.telemetry.count(
-                "faults.injected_total",
-                n_dropped,
-                help="stochastic chaos injections by kind",
-                kind="metric-dropout",
-            )
+            self._count_faults("metric-dropout", n_dropped)
         self.total_evaluation_seconds += result.duration_s
         self.steps_taken += 1
         return StepOutcome(
@@ -268,3 +214,23 @@ class TuningEnv:
             result=result,
             faults=faults,
         )
+
+    def _count_faults(self, kind: str, amount: float = 1.0) -> None:
+        self.simulator.telemetry.count(
+            "faults.injected_total",
+            amount,
+            help="stochastic chaos injections by kind",
+            kind=kind,
+        )
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints written before the environment held its simulator
+        # pickle it inside a ``runner`` (loaded as a plain namespace by
+        # the checkpoint reader), and that simulator still carries this
+        # environment's fault injector, which the simulator no longer
+        # applies.
+        runner = state.pop("runner", None)
+        if runner is not None:
+            state["simulator"] = runner.simulator
+            vars(runner.simulator).pop("fault_injector", None)
+        self.__dict__.update(state)

@@ -1137,11 +1137,9 @@ class ExperimentEngine:
     task_timeout:
         Hard per-task deadline in seconds; a worker running longer is
         SIGKILLed and the task charged a timed-out attempt.  ``None``
-        (default) derives the deadline from ``timeout_multiple`` × the
-        EWMA of per-kind durations (floor 30s) once a kind has completed
-        at least once — before that, tasks may run unbounded.
-    timeout_multiple:
-        EWMA multiplier for the derived deadline.
+        (default) derives the deadline as 8× the EWMA of per-kind
+        durations (floor 30s) once a kind has completed at least once —
+        before that, tasks may run unbounded.
     failure_mode:
         ``"strict"`` (default) completes the grid, then raises
         :class:`EngineTaskError` if any task was quarantined;
@@ -1161,7 +1159,6 @@ class ExperimentEngine:
         bus_dir: str | Path | None = None,
         task_retries: int = 2,
         task_timeout: float | None = None,
-        timeout_multiple: float = 8.0,
         failure_mode: str = "strict",
         chaos=None,
     ):
@@ -1188,7 +1185,6 @@ class ExperimentEngine:
         self.bus_dir = Path(bus_dir) if bus_dir is not None else None
         self.task_retries = task_retries
         self.task_timeout = task_timeout
-        self.timeout_multiple = timeout_multiple
         self.failure_mode = failure_mode
         self.chaos = chaos
         # Persistent worker pool: created on first pooled run, reused
@@ -1280,6 +1276,8 @@ class ExperimentEngine:
 
     # ---------------------------------------------------- supervision
 
+    #: EWMA-derived deadline: this multiple of a kind's mean duration
+    _TIMEOUT_MULTIPLE = 8.0
     #: floor for EWMA-derived deadlines — never reap a kind faster than
     #: this just because its first completion was quick
     _TIMEOUT_FLOOR_S = 30.0
@@ -1293,7 +1291,7 @@ class ExperimentEngine:
         ewma = self._kind_ewma.get(kind)
         if ewma is None:
             return None  # no completion observed yet: run unbounded
-        return max(self.timeout_multiple * ewma, self._TIMEOUT_FLOOR_S)
+        return max(self._TIMEOUT_MULTIPLE * ewma, self._TIMEOUT_FLOOR_S)
 
     def _note_duration(self, kind: str, seconds: float) -> None:
         prev = self._kind_ewma.get(kind)

@@ -333,26 +333,21 @@ class ShardedPopulation:
                 )
 
     def _members_message(self, sh: _Shard) -> bytes:
-        """The pickled ``("members", payload)`` message for one shard,
-        with each member's telemetry detached while it pickles."""
-        from repro.core.persistence import _telemetry_detached
-
+        """The pickled ``("members", payload)`` message for one shard;
+        live telemetry pickles as the null context."""
         lo, hi = sh.lo, sh.hi
-        with ExitStack() as stack:
-            for dc, env in zip(self.tuners[lo:hi], self.envs[lo:hi]):
-                stack.enter_context(_telemetry_detached(dc, env))
-            return pickle.dumps(
-                ("members", {
-                    "tuners": self.tuners[lo:hi],
-                    "envs": self.envs[lo:hi],
-                    "resiliences": self.resiliences[lo:hi],
-                    "sessions": self.sessions[lo:hi],
-                    "start_steps": self.start_steps[lo:hi],
-                    "fine_tune_updates": self.fine_tune_updates,
-                    "exploration_sigma": self.exploration_sigma,
-                }),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
+        return pickle.dumps(
+            ("members", {
+                "tuners": self.tuners[lo:hi],
+                "envs": self.envs[lo:hi],
+                "resiliences": self.resiliences[lo:hi],
+                "sessions": self.sessions[lo:hi],
+                "start_steps": self.start_steps[lo:hi],
+                "fine_tune_updates": self.fine_tune_updates,
+                "exploration_sigma": self.exploration_sigma,
+            }),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
 
     def _crash(self, sh: _Shard) -> ShardCrash:
         return ShardCrash(

@@ -17,7 +17,8 @@ the batch design:
    :class:`~repro.sim.result.ExecutionResult` records.
 
 Every arithmetic expression mirrors the scalar engine's operation order,
-so row ``i`` of ``evaluate_batch`` is bit-identical to a sequential
+and results are built by the same simulator helpers, so row ``j`` of
+:func:`evaluate_population` is bit-identical to a sequential
 ``evaluate`` under the same generator state (pinned by the determinism
 suite).  The two scalar-``**`` sites (fetch-pipelining efficiency, GC
 occupancy curve) stay Python-float ``pow`` per element because numpy's
@@ -32,13 +33,7 @@ import numpy as np
 
 from repro.cluster.yarn import plan_executors_batch
 from repro.sim.codecs import codec_profile, serializer_profile
-from repro.sim.faults import (
-    TASK_MAX_FAILURES,
-    YARN_HANG_SECONDS,
-    YARN_REJECT_SECONDS,
-    oom_attempt_charge,
-    vmem_kill_penalty,
-)
+from repro.sim.faults import vmem_kill_penalty
 from repro.sim.result import ExecutionResult, StageResult
 from repro.utils.stats import lognormal_noise_factor
 
@@ -46,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config.space import ConfigurationSpace
     from repro.sim.engine import SparkSimulator
 
-__all__ = ["evaluate_batch", "evaluate_population"]
+__all__ = ["evaluate_population"]
 
 # log2(512/16): normalization constant of the disk buffer-quality curve.
 _BUFFER_QUALITY_DENOM = float(np.log2(512.0 / 16.0))
@@ -125,96 +120,6 @@ class _ClusterVecModels:
         )
 
 
-def evaluate_batch(
-    sim: "SparkSimulator",
-    vectors: np.ndarray,
-    space: "ConfigurationSpace",
-    apply_faults: bool = True,
-) -> list[ExecutionResult]:
-    """Evaluate ``n`` normalized configuration vectors in one pass.
-
-    Returns one :class:`ExecutionResult` per row, bit-identical to
-    ``[sim.evaluate(space.decode(v)) for v in vectors]`` under the same
-    generator state.  ``apply_faults=False`` skips the fault injector so
-    a caller interleaving other fault-stream draws (the environment's
-    ``step_batch``) can apply it per step itself.
-    """
-    from repro.sim.engine import (
-        CACHE_REPARSE_CPU_PER_MB,
-        JOB_SETUP_SECONDS,
-        OVERLAP_RESIDUE,
-        SPILL_CPU_PER_MB,
-        STAGE_SETUP_SECONDS,
-        TASK_DISPATCH_SECONDS,
-        WAVE_LAUNCH_SECONDS,
-    )
-
-    mat = np.asarray(vectors, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[1] != space.dim:
-        raise ValueError(
-            f"expected shape (n, {space.dim}), got {mat.shape}"
-        )
-    n = mat.shape[0]
-    if n == 0:
-        return []
-
-    t = sim.telemetry
-    cluster = sim.cluster
-    node = cluster.node
-    stages = sim._stages
-
-    with t.span("sim.evaluate_batch", workload=sim.workload.code, n=n):
-        cols = space.decode_columns(mat)
-        placement = plan_executors_batch(cols, cluster)
-        feasible = placement.feasible
-        fi = np.flatnonzero(feasible)
-        k = fi.size
-
-        plan = _stage_plan(
-            sim, cols, placement, fi, cluster, node, stages,
-            CACHE_REPARSE_CPU_PER_MB, SPILL_CPU_PER_MB, OVERLAP_RESIDUE,
-            STAGE_SETUP_SECONDS, TASK_DISPATCH_SECONDS, WAVE_LAUNCH_SECONDS,
-        ) if k else None
-
-        # position of candidate j within the feasible subset
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[fi] = np.arange(k)
-
-        results: list[ExecutionResult] = []
-        for j in range(n):
-            sim.evaluation_count += 1
-            t.count(
-                "sim.evaluations_total", help="simulated configuration runs"
-            )
-            pl = placement.row(j)
-            if not pl.feasible:
-                results.append(_infeasible_result(sim, pl, t))
-                continue
-            results.append(
-                _assemble_feasible(
-                    sim, pl, plan, int(pos[j]), stages, t,
-                    JOB_SETUP_SECONDS,
-                )
-            )
-
-        if apply_faults and (
-            sim.fault_injector is not None and sim.fault_injector.enabled
-        ):
-            for j, result in enumerate(results):
-                perturbed, injected = sim.fault_injector.perturb_result(
-                    result
-                )
-                if injected:
-                    for kind in injected:
-                        t.count(
-                            "faults.injected_total",
-                            help="stochastic chaos injections by kind",
-                            kind=kind,
-                        )
-                results[j] = perturbed
-    return results
-
-
 def evaluate_population(
     sims: "list[SparkSimulator]",
     vectors: np.ndarray,
@@ -228,16 +133,14 @@ def evaluate_population(
     computed once for the whole population; pass 2 walks rows in order
     drawing each simulator's *own* RNG stream and counting against its
     own telemetry, exactly as a scalar ``sims[j].evaluate`` would.
-    Faults are never applied here — each caller interleaves its
-    environment's fault stream per session (see
-    ``VectorTuningEnv.step``).
+    Faults are never applied here: the environment applies its own
+    (see ``TuningEnv._absorb_result``).
 
     Row ``j`` is bit-identical to ``sims[j].evaluate(space.decode(
     vectors[j]))`` under the same per-sim generator states.
     """
     from repro.sim.engine import (
         CACHE_REPARSE_CPU_PER_MB,
-        JOB_SETUP_SECONDS,
         OVERLAP_RESIDUE,
         SPILL_CPU_PER_MB,
         STAGE_SETUP_SECONDS,
@@ -259,7 +162,7 @@ def evaluate_population(
         return []
     lead = sims[0]
     for sim in sims[1:]:
-        if (
+        if sim is not lead and (
             sim.workload.code != lead.workload.code
             or sim.dataset.label != lead.dataset.label
             or sim.cluster != lead.cluster
@@ -293,41 +196,16 @@ def evaluate_population(
         results: list[ExecutionResult] = []
         for j in range(n):
             sim = sims[j]
-            t = sim.telemetry
             sim.evaluation_count += 1
-            t.count(
+            sim.telemetry.count(
                 "sim.evaluations_total", help="simulated configuration runs"
             )
             pl = placement.row(j)
             if not pl.feasible:
-                results.append(_infeasible_result(sim, pl, t))
+                results.append(sim._rejected(pl))
                 continue
-            results.append(
-                _assemble_feasible(
-                    sim, pl, plan, int(pos[j]), stages, t,
-                    JOB_SETUP_SECONDS,
-                )
-            )
+            results.append(_assemble_feasible(sim, pl, plan, int(pos[j])))
     return results
-
-
-def _infeasible_result(sim, pl, t) -> ExecutionResult:
-    burnt = YARN_HANG_SECONDS if pl.hangs else YARN_REJECT_SECONDS
-    t.count(
-        "sim.faults_total",
-        help="injected faults by kind",
-        kind="yarn-hang" if pl.hangs else "yarn-reject",
-    )
-    t.event(
-        "sim-fault", fault="yarn-rejection", reason=pl.reason,
-        burnt_s=float(burnt),
-    )
-    return ExecutionResult(
-        duration_s=burnt,
-        success=False,
-        failure_reason=f"YARN rejection: {pl.reason}",
-        cpu_demand_per_node=np.full(sim.cluster.n_nodes, 0.1),
-    )
 
 
 class _StagePlan:
@@ -616,42 +494,18 @@ def _stage_plan(
     return _StagePlan(per_stage, speculation, vmem_factor)
 
 
-def _assemble_feasible(
-    sim, pl, plan: _StagePlan, p: int, stages, t, job_setup_s,
-) -> ExecutionResult:
+def _assemble_feasible(sim, pl, plan: _StagePlan, p: int) -> ExecutionResult:
     """Pass 2 for one feasible candidate: draw RNG, build result records."""
     noise = lognormal_noise_factor(sim._rng, sim.noise_sigma)
     speculation = bool(plan.speculation[p])
     vmem = float(plan.vmem_factor[p])
-    results: list[StageResult] = []
+    stages: list[StageResult] = []
     elapsed = 0.0
-    total_cpu_core_s = 0.0
-    for stage, arrs in zip(stages, plan.per_stage):
+    cpu_core_s = 0.0
+    for stage, arrs in zip(sim._stages, plan.per_stage):
         if arrs["oom"][p]:
-            approx = float(arrs["approx"][p])
-            burnt = elapsed + oom_attempt_charge(approx)
-            duration = (job_setup_s + burnt) * noise
-            reason = (
-                f"executor OOM in stage {stage.name!r} after "
-                f"{TASK_MAX_FAILURES} task attempts"
-            )
-            t.count(
-                "sim.faults_total",
-                help="injected faults by kind",
-                kind="stage-failure",
-            )
-            t.event(
-                "sim-fault", fault="stage-failure", stage=stage.name,
-                reason=reason, burnt_s=float(duration),
-            )
-            return ExecutionResult(
-                duration_s=float(duration),
-                success=False,
-                failure_reason=reason,
-                cpu_demand_per_node=sim._demand(pl, 0.5),
-                n_executors=pl.n_executors,
-                executor_cores=pl.executor_cores,
-                executor_heap_mb=pl.executor_heap_mb,
+            return sim._stage_failed(
+                pl, stage.name, elapsed, float(arrs["approx"][p]), noise
             )
         tail = float(sim._rng.exponential(0.10))
         if speculation:
@@ -671,33 +525,8 @@ def _assemble_feasible(
             gc_multiplier=float(arrs["gc_multiplier"][p]),
             cache_deficit=float(arrs["storage_deficit"][p]),
         )
-        results.append(res)
+        stages.append(res)
         elapsed += res.seconds
-        total_cpu_core_s += res.cpu_seconds * pl.total_cores
-        t.observe(
-            "sim.stage_seconds",
-            res.seconds,
-            help="simulated per-stage duration",
-            stage=stage.name,
-        )
-        t.event(
-            "sim-stage",
-            stage=stage.name,
-            seconds=float(res.seconds),
-            waves=res.waves,
-            spill_fraction=float(res.spill_fraction),
-        )
-    duration = (job_setup_s + elapsed) * noise
-    utilization = min(
-        total_cpu_core_s / max(duration * sim.cluster.total_cores, 1e-9),
-        1.0,
-    )
-    return ExecutionResult(
-        duration_s=float(duration),
-        success=True,
-        stages=tuple(results),
-        cpu_demand_per_node=sim._demand(pl, utilization),
-        n_executors=pl.n_executors,
-        executor_cores=pl.executor_cores,
-        executor_heap_mb=pl.executor_heap_mb,
-    )
+        cpu_core_s += res.cpu_seconds * pl.total_cores
+        sim._stage_done(res)
+    return sim._succeeded(pl, stages, elapsed, cpu_core_s, noise)

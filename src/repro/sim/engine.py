@@ -31,7 +31,6 @@ from repro.sim.faults import (
     TASK_MAX_FAILURES,
     YARN_HANG_SECONDS,
     YARN_REJECT_SECONDS,
-    StageFailure,
     oom_attempt_charge,
     vmem_kill_penalty,
 )
@@ -94,12 +93,8 @@ class SparkSimulator:
         self._default_duration: float | None = None
         self.evaluation_count = 0
         #: attach a RunContext (e.g. via TuningEnv.attach_telemetry) to
-        #: trace per-evaluation spans and fault-injection counters
+        #: trace per-evaluation spans and per-stage timings
         self.telemetry = NULL_CONTEXT
-        #: optional :class:`~repro.faults.injector.FaultInjector` applied
-        #: to every evaluation (set by TuningEnv after the default
-        #: duration is cached, so the baseline itself is never faulted)
-        self.fault_injector = None
 
     # ------------------------------------------------------------------ API
 
@@ -109,92 +104,53 @@ class SparkSimulator:
             "sim.evaluate", workload=self.workload.code
         ) as span:
             result = self._evaluate(config)
-            if self.fault_injector is not None and self.fault_injector.enabled:
-                result, injected = self.fault_injector.perturb_result(result)
-                if injected:
-                    span.set_attr("faults", ",".join(injected))
-                    for kind in injected:
-                        self.telemetry.count(
-                            "faults.injected_total",
-                            help="stochastic chaos injections by kind",
-                            kind=kind,
-                        )
             span.set_attr("success", result.success)
             span.set_attr("simulated_s", round(result.duration_s, 3))
         return result
 
     def evaluate_batch(
-        self, vectors: np.ndarray, space, apply_faults: bool = True
+        self, vectors: np.ndarray, space
     ) -> list[ExecutionResult]:
         """Evaluate ``n`` normalized vectors through the vectorized path.
 
         Row ``i`` is bit-identical to ``evaluate(space.decode(vectors[i]))``
-        under the same generator state; see :mod:`repro.sim.batch`.
+        under the same generator state.  This is
+        :func:`~repro.sim.batch.evaluate_population` over this one
+        simulator; it stays a method because the benchmark's ``--trace``
+        layers (``benchmarks/perf/layers.py``) patch it by this name.
         """
-        from repro.sim.batch import evaluate_batch
+        from repro.sim.batch import evaluate_population
 
-        return evaluate_batch(self, vectors, space, apply_faults=apply_faults)
+        return evaluate_population([self] * len(vectors), vectors, space)
 
     def _evaluate(self, config: Mapping[str, Any]) -> ExecutionResult:
-        t = self.telemetry
         self.evaluation_count += 1
-        t.count("sim.evaluations_total", help="simulated configuration runs")
+        self.telemetry.count(
+            "sim.evaluations_total", help="simulated configuration runs"
+        )
         placement = plan_executors(config, self.cluster)
         if not placement.feasible:
-            burnt = YARN_HANG_SECONDS if placement.hangs else YARN_REJECT_SECONDS
-            t.count(
-                "sim.faults_total",
-                help="injected faults by kind",
-                kind="yarn-hang" if placement.hangs else "yarn-reject",
-            )
-            t.event(
-                "sim-fault", fault="yarn-rejection", reason=placement.reason,
-                burnt_s=float(burnt),
-            )
-            return ExecutionResult(
-                duration_s=burnt,
-                success=False,
-                failure_reason=f"YARN rejection: {placement.reason}",
-                cpu_demand_per_node=np.full(self.cluster.n_nodes, 0.1),
-            )
+            return self._rejected(placement)
 
         noise = lognormal_noise_factor(self._rng, self.noise_sigma)
-        try:
-            stages, duration, cpu_core_s = self._run_stages(config, placement)
-        except StageFailure as failure:
-            duration = (JOB_SETUP_SECONDS + failure.burnt_seconds) * noise
-            t.count(
-                "sim.faults_total",
-                help="injected faults by kind",
-                kind="stage-failure",
-            )
-            t.event(
-                "sim-fault", fault="stage-failure", stage=failure.stage_name,
-                reason=failure.reason, burnt_s=float(duration),
-            )
-            return ExecutionResult(
-                duration_s=float(duration),
-                success=False,
-                failure_reason=failure.reason,
-                cpu_demand_per_node=self._demand(placement, 0.5),
-                n_executors=placement.n_executors,
-                executor_cores=placement.executor_cores,
-                executor_heap_mb=placement.executor_heap_mb,
-            )
-
-        duration = (JOB_SETUP_SECONDS + duration) * noise
-        utilization = min(
-            cpu_core_s / max(duration * self.cluster.total_cores, 1e-9), 1.0
+        memory = MemoryModel(
+            config, placement.executor_heap_mb, placement.executor_cores
         )
-        return ExecutionResult(
-            duration_s=float(duration),
-            success=True,
-            stages=tuple(stages),
-            cpu_demand_per_node=self._demand(placement, utilization),
-            n_executors=placement.n_executors,
-            executor_cores=placement.executor_cores,
-            executor_heap_mb=placement.executor_heap_mb,
-        )
+        hdfs = HdfsModel(config, self.cluster)
+        stages: list[StageResult] = []
+        elapsed = 0.0
+        cpu_core_s = 0.0
+        for stage in self._stages:
+            res = self._simulate_stage(stage, config, placement, memory, hdfs)
+            if res.oom:
+                return self._stage_failed(
+                    placement, stage.name, elapsed, res.seconds, noise
+                )
+            stages.append(res)
+            elapsed += res.seconds
+            cpu_core_s += res.cpu_seconds * placement.total_cores
+            self._stage_done(res)
+        return self._succeeded(placement, stages, elapsed, cpu_core_s, noise)
 
     def default_duration(self, space) -> float:
         """Noise-free duration under the framework defaults (cached)."""
@@ -225,44 +181,107 @@ class SparkSimulator:
             demand[:nodes_used] += busy
         return demand
 
-    def _run_stages(
-        self, config: Mapping[str, Any], placement: ExecutorPlacement
-    ) -> tuple[list[StageResult], float, float]:
-        memory = MemoryModel(
-            config, placement.executor_heap_mb, placement.executor_cores
-        )
-        hdfs = HdfsModel(config, self.cluster)
-        results: list[StageResult] = []
-        elapsed = 0.0
-        total_cpu_core_s = 0.0
+    # ---------------------------------------------------- result records
+    # The scalar path above and the batch path (repro.sim.batch) build
+    # every result and its telemetry through these four helpers.
+
+    def _rejected(self, placement: ExecutorPlacement) -> ExecutionResult:
+        """YARN rejected the containers, or left the request hanging."""
+        burnt = YARN_HANG_SECONDS if placement.hangs else YARN_REJECT_SECONDS
         t = self.telemetry
-        for stage in self._stages:
-            res = self._simulate_stage(stage, config, placement, memory, hdfs)
-            if res.oom:
-                burnt = elapsed + oom_attempt_charge(res.seconds)
-                raise StageFailure(
-                    stage.name,
-                    f"executor OOM in stage {stage.name!r} after "
-                    f"{TASK_MAX_FAILURES} task attempts",
-                    burnt,
-                )
-            results.append(res)
-            elapsed += res.seconds
-            total_cpu_core_s += res.cpu_seconds * placement.total_cores
-            t.observe(
-                "sim.stage_seconds",
-                res.seconds,
-                help="simulated per-stage duration",
-                stage=stage.name,
-            )
-            t.event(
-                "sim-stage",
-                stage=stage.name,
-                seconds=float(res.seconds),
-                waves=res.waves,
-                spill_fraction=float(res.spill_fraction),
-            )
-        return results, elapsed, total_cpu_core_s
+        t.count(
+            "sim.faults_total",
+            help="injected faults by kind",
+            kind="yarn-hang" if placement.hangs else "yarn-reject",
+        )
+        t.event(
+            "sim-fault", fault="yarn-rejection", reason=placement.reason,
+            burnt_s=float(burnt),
+        )
+        return ExecutionResult(
+            duration_s=burnt,
+            success=False,
+            failure_reason=f"YARN rejection: {placement.reason}",
+            cpu_demand_per_node=np.full(self.cluster.n_nodes, 0.1),
+        )
+
+    def _stage_failed(
+        self,
+        placement: ExecutorPlacement,
+        stage_name: str,
+        elapsed: float,
+        stage_s: float,
+        noise: float,
+    ) -> ExecutionResult:
+        """Stage ``stage_name`` (clean time ``stage_s``) ran out of task
+        attempts after ``elapsed`` seconds of earlier stages; the job
+        aborts (executor OOM)."""
+        burnt = elapsed + oom_attempt_charge(stage_s)
+        duration = (JOB_SETUP_SECONDS + burnt) * noise
+        reason = (
+            f"executor OOM in stage {stage_name!r} after "
+            f"{TASK_MAX_FAILURES} task attempts"
+        )
+        t = self.telemetry
+        t.count(
+            "sim.faults_total",
+            help="injected faults by kind",
+            kind="stage-failure",
+        )
+        t.event(
+            "sim-fault", fault="stage-failure", stage=stage_name,
+            reason=reason, burnt_s=float(duration),
+        )
+        return ExecutionResult(
+            duration_s=float(duration),
+            success=False,
+            failure_reason=reason,
+            cpu_demand_per_node=self._demand(placement, 0.5),
+            n_executors=placement.n_executors,
+            executor_cores=placement.executor_cores,
+            executor_heap_mb=placement.executor_heap_mb,
+        )
+
+    def _stage_done(self, res: StageResult) -> None:
+        """Per-stage telemetry of one completed stage."""
+        t = self.telemetry
+        t.observe(
+            "sim.stage_seconds",
+            res.seconds,
+            help="simulated per-stage duration",
+            stage=res.name,
+        )
+        t.event(
+            "sim-stage",
+            stage=res.name,
+            seconds=float(res.seconds),
+            waves=res.waves,
+            spill_fraction=float(res.spill_fraction),
+        )
+
+    def _succeeded(
+        self,
+        placement: ExecutorPlacement,
+        stages: list[StageResult],
+        elapsed: float,
+        cpu_core_s: float,
+        noise: float,
+    ) -> ExecutionResult:
+        """Every stage completed: ``elapsed`` stage seconds in all,
+        ``cpu_core_s`` core-seconds of CPU work."""
+        duration = (JOB_SETUP_SECONDS + elapsed) * noise
+        utilization = min(
+            cpu_core_s / max(duration * self.cluster.total_cores, 1e-9), 1.0
+        )
+        return ExecutionResult(
+            duration_s=float(duration),
+            success=True,
+            stages=tuple(stages),
+            cpu_demand_per_node=self._demand(placement, utilization),
+            n_executors=placement.n_executors,
+            executor_cores=placement.executor_cores,
+            executor_heap_mb=placement.executor_heap_mb,
+        )
 
     def _simulate_stage(
         self,

@@ -16,7 +16,6 @@ __all__ = [
     "YARN_REJECT_SECONDS",
     "YARN_HANG_SECONDS",
     "FAILURE_PERF_FACTOR",
-    "StageFailure",
     "oom_attempt_charge",
     "vmem_kill_penalty",
 ]
@@ -36,16 +35,6 @@ YARN_HANG_SECONDS = 180.0
 #: execution time when converted to a performance value for rewards —
 #: modelling the operator falling back to the default after the failure.
 FAILURE_PERF_FACTOR = 2.5
-
-
-class StageFailure(Exception):
-    """Raised inside the engine when a stage exhausts its task retries."""
-
-    def __init__(self, stage_name: str, reason: str, burnt_seconds: float):
-        super().__init__(f"{stage_name}: {reason}")
-        self.stage_name = stage_name
-        self.reason = reason
-        self.burnt_seconds = burnt_seconds
 
 
 def oom_attempt_charge(stage_seconds: float) -> float:

@@ -230,12 +230,17 @@ class RunContext:
 
     # A context is shared infrastructure, not run state: copying a tuner
     # (e.g. ``fork_tuner`` deep-copies trained models) must alias the
-    # same context, not duplicate lock-bearing registries/tracers.
+    # same context, not duplicate lock-bearing registries/tracers; and
+    # pickling one (a checkpoint, a shard's members) stores the null
+    # context, so whoever loads the pickle attaches its own.
     def __copy__(self) -> "RunContext":
         return self
 
     def __deepcopy__(self, memo) -> "RunContext":
         return self
+
+    def __reduce__(self):
+        return ensure_context, (None,)
 
 
 #: the shared disabled context — all pillars are no-ops

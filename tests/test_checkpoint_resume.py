@@ -24,6 +24,7 @@ from repro.core.population import PopulationTuner
 from repro.core.resilience import ResiliencePolicy
 from repro.core.result import sessions_equal
 from repro.factory import make_env
+from repro.sim.engine import SparkSimulator
 
 FAST_HP = AgentHyperParams(batch_size=16, warmup_steps=8, hidden=(16, 16))
 SMALL_HP = AgentHyperParams(hidden=(8, 8), batch_size=16, warmup_steps=16)
@@ -70,6 +71,14 @@ def _unpacked(name, tmp_path):
     return path
 
 
+def _assert_env_holds_simulator(env):
+    """A restored environment holds its simulator directly, even when
+    the file pickled it inside the HiBench-style runner of that time."""
+    assert not hasattr(env, "runner")
+    assert isinstance(env.simulator, SparkSimulator)
+    assert not hasattr(env.simulator, "fault_injector")
+
+
 @pytest.mark.determinism
 class TestCheckpointsWithLayerScratch:
     """Checkpoints whose tuners still pickle every layer's batch
@@ -112,6 +121,7 @@ class TestCheckpointsWithLayerScratch:
             _unpacked("session_with_scratch.ckpt", tmp_path)
         )
         assert ck.next_steps == [3]
+        _assert_env_holds_simulator(ck.envs[0])
         resumed = ck.tuners[0].tune_online(
             ck.envs[0], steps=self.STEPS, resilience=ck.resiliences[0],
             session=ck.sessions[0], start_step=ck.next_steps[0],
@@ -139,6 +149,8 @@ class TestCheckpointsWithLayerScratch:
             _unpacked("population_with_scratch.ckpt", tmp_path)
         )
         assert ck.next_steps == [3, 3]
+        for env in ck.envs:
+            _assert_env_holds_simulator(env)
         resumed = PopulationTuner.from_deepcat(
             ck.tuners, ck.envs, resiliences=ck.resiliences,
             sessions=ck.sessions, start_steps=ck.next_steps,
@@ -287,9 +299,9 @@ class TestCheckpointMechanics:
             load_population_checkpoint(bad)
 
     def test_save_checkpoint_with_live_telemetry(self, tmp_path):
-        """Live telemetry holds locks; the saver must detach it, pickle,
-        and put it back."""
-        from repro.telemetry.context import RunContext
+        """Live telemetry holds locks; it pickles as the null context and
+        stays attached to the live objects."""
+        from repro.telemetry.context import NULL_CONTEXT, RunContext
         from repro.telemetry.metrics import MetricsRegistry
         from repro.telemetry.tracing import Tracer
 
@@ -297,13 +309,15 @@ class TestCheckpointMechanics:
         env = make_env("WC", "D1", seed=11)
         ctx = RunContext(tracer=Tracer(), metrics=MetricsRegistry())
         session = tuner.tune_online(env, steps=1, telemetry=ctx)
-        before = env.runner.simulator.telemetry
+        assert env.simulator.telemetry is ctx
         save_population_checkpoint(
             tmp_path / "s.ckpt", tuners=[tuner], envs=[env],
             sessions=[session], next_steps=[1],
         )
-        # telemetry reattached after the detached pickle
-        assert env.runner.simulator.telemetry is before
+        assert env.simulator.telemetry is ctx
+        restored = load_population_checkpoint(tmp_path / "s.ckpt")
+        assert restored.envs[0].simulator.telemetry is NULL_CONTEXT
+        assert restored.tuners[0].agent.telemetry is NULL_CONTEXT
 
 
 class TestCLIResume:

@@ -1,5 +1,7 @@
 """Tests for the reward function and the tuning environment."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,17 @@ class TestTuningEnv:
         out = env.step(env.space.encode(cfg))
         assert not out.success
         assert out.reward < -1.0
+
+    def test_pickle_does_not_grow_with_steps(self):
+        """Every checkpoint member pickles its environment, which holds
+        seeded state but no record of the runs it evaluated."""
+        env = make_env("KM", "D1", seed=0, fault_profile="flaky")
+        rng = np.random.default_rng(0)
+        env.step(rng.uniform(size=env.action_dim))
+        after_one = len(pickle.dumps(env))
+        for _ in range(99):
+            env.step(rng.uniform(size=env.action_dim))
+        assert len(pickle.dumps(env)) < after_one + 512
 
     def test_deterministic_given_seed(self):
         a = make_env("TS", "D1", seed=5)

@@ -11,7 +11,7 @@ from repro.factory import EXPECTED_SPEEDUPS, make_env
 class TestMakeEnv:
     def test_defaults(self):
         env = make_env("TS")
-        assert env.runner.dataset.label == "D1"
+        assert env.simulator.dataset.label == "D1"
         assert env.cluster.name == "cluster-a"
 
     def test_unknown_workload(self):

@@ -414,7 +414,7 @@ def test_vector_env_partial_indices_step_only_selected_members():
     venv = VectorTuningEnv(envs_a)
     rng = np.random.default_rng(3)
     actions = np.stack([env.space.sample_vector(rng) for env in envs_a])
-    idle_evals = envs_a[2].runner.simulator.evaluation_count
+    idle_evals = envs_a[2].simulator.evaluation_count
     out = venv.step(actions[[1, 3]], indices=[1, 3])
     assert len(out) == 2
     _assert_outcomes_equal(out[0], envs_b[1].step(actions[1]))
@@ -422,7 +422,7 @@ def test_vector_env_partial_indices_step_only_selected_members():
     # Unselected members' streams must be untouched.
     np.testing.assert_array_equal(envs_a[0].observation,
                                   envs_b[0].observation)
-    assert envs_a[2].runner.simulator.evaluation_count == idle_evals
+    assert envs_a[2].simulator.evaluation_count == idle_evals
 
 
 def test_vector_env_rejects_duplicate_envs():

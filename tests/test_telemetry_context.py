@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 
 from repro.telemetry import (
     NULL_CONTEXT,
@@ -149,6 +150,17 @@ class TestRunContext:
         clone = copy.deepcopy(holder)
         assert clone["telemetry"] is ctx
         assert clone["data"] is not holder["data"]
+
+    def test_pickles_as_the_null_context(self):
+        # Telemetry is not run state: a pickled object graph (a
+        # checkpoint, a shard's members) carries the null context.
+        assert pickle.loads(pickle.dumps(RunContext.recording())) is (
+            NULL_CONTEXT
+        )
+        holder = {"telemetry": RunContext.recording(), "data": [1, 2]}
+        clone = pickle.loads(pickle.dumps(holder))
+        assert clone["telemetry"] is NULL_CONTEXT
+        assert clone["data"] == [1, 2]
 
 
 class TestEnsureContext:
