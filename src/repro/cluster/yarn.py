@@ -22,15 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-import numpy as np
-
 from repro.cluster.hardware import ClusterSpec
 
 __all__ = [
     "ExecutorPlacement",
-    "BatchPlacement",
     "plan_executors",
-    "plan_executors_batch",
     "OS_RESERVED_MB",
 ]
 
@@ -142,143 +138,4 @@ def plan_executors(
         granted, cores, heap, container_mb, feasible=True,
         cpu_oversubscribed=oversubscribed,
         effective_vcores_per_node=effective_vcores,
-    )
-
-
-@dataclass(frozen=True)
-class BatchPlacement:
-    """Columnar :class:`ExecutorPlacement` for ``n`` candidate configs.
-
-    Row ``i`` holds exactly the fields :func:`plan_executors` would
-    produce for candidate ``i``; :meth:`row` materializes the scalar
-    dataclass on demand.
-    """
-
-    n_executors: np.ndarray
-    executor_cores: np.ndarray
-    executor_heap_mb: np.ndarray
-    container_mb: np.ndarray
-    feasible: np.ndarray
-    reasons: tuple[str, ...]
-    cpu_oversubscribed: np.ndarray
-    effective_vcores_per_node: np.ndarray
-    hangs: np.ndarray
-
-    @property
-    def total_cores(self) -> np.ndarray:
-        return self.n_executors * self.executor_cores
-
-    def __len__(self) -> int:
-        return len(self.n_executors)
-
-    def row(self, i: int) -> ExecutorPlacement:
-        return ExecutorPlacement(
-            n_executors=int(self.n_executors[i]),
-            executor_cores=int(self.executor_cores[i]),
-            executor_heap_mb=int(self.executor_heap_mb[i]),
-            container_mb=int(self.container_mb[i]),
-            feasible=bool(self.feasible[i]),
-            reason=self.reasons[i],
-            cpu_oversubscribed=bool(self.cpu_oversubscribed[i]),
-            effective_vcores_per_node=int(self.effective_vcores_per_node[i]),
-            hangs=bool(self.hangs[i]),
-        )
-
-
-def plan_executors_batch(
-    columns: Mapping[str, np.ndarray], cluster: ClusterSpec
-) -> BatchPlacement:
-    """Vectorized :func:`plan_executors` over decoded config columns.
-
-    ``columns`` is the output of
-    :meth:`repro.config.space.ConfigurationSpace.decode_columns`.  Row
-    ``i`` of the result matches ``plan_executors(configs[i], cluster)``
-    exactly (integer arithmetic only — there is nothing to round).
-    """
-    heap = np.asarray(columns["spark.executor.memory"], dtype=np.int64)
-    overhead = np.asarray(
-        columns["spark.executor.memoryOverhead"], dtype=np.int64
-    )
-    cores = np.asarray(columns["spark.executor.cores"], dtype=np.int64)
-    requested = np.asarray(
-        columns["spark.executor.instances"], dtype=np.int64
-    )
-    min_alloc = np.asarray(
-        columns["yarn.scheduler.minimum-allocation-mb"], dtype=np.int64
-    )
-    max_alloc = np.asarray(
-        columns["yarn.scheduler.maximum-allocation-mb"], dtype=np.int64
-    )
-    max_vcores = np.asarray(
-        columns["yarn.scheduler.maximum-allocation-vcores"], dtype=np.int64
-    )
-    nm_mem = np.asarray(
-        columns["yarn.nodemanager.resource.memory-mb"], dtype=np.int64
-    )
-    nm_vcores = np.asarray(
-        columns["yarn.nodemanager.resource.cpu-vcores"], dtype=np.int64
-    )
-    cpu_pct = np.asarray(
-        columns["yarn.nodemanager.resource.percentage-physical-cpu-limit"],
-        dtype=np.float64,
-    )
-    if np.any(min_alloc <= 0):
-        raise ValueError("granularity must be positive")
-
-    container = (heap + overhead + min_alloc - 1) // min_alloc * min_alloc
-    rejected_mb = container > max_alloc
-    rejected_vcores = ~rejected_mb & (cores > max_vcores)
-
-    node_mem_budget = np.minimum(
-        nm_mem, cluster.node.memory_mb - OS_RESERVED_MB
-    )
-    effective_vcores = np.minimum(
-        (nm_vcores * cpu_pct / 100.0).astype(np.int64), cluster.node.cores
-    )
-    hangs = (
-        ~rejected_mb & ~rejected_vcores & (node_mem_budget < container)
-    )
-    feasible = ~(rejected_mb | rejected_vcores | hangs)
-
-    per_node_mem = node_mem_budget // container
-    per_node_cpu = effective_vcores // np.maximum(cores, 1)
-    oversubscribed = per_node_cpu < 1
-    per_node = np.where(
-        oversubscribed,
-        np.minimum(per_node_mem, 1),
-        np.minimum(per_node_mem, per_node_cpu),
-    )
-    capacity = per_node * cluster.n_nodes
-    granted = np.where(feasible, np.minimum(requested, capacity), 0)
-    oversubscribed = feasible & oversubscribed
-
-    reasons = []
-    for i in range(len(heap)):
-        if rejected_mb[i]:
-            reasons.append(
-                f"container {int(container[i])}MB exceeds "
-                f"yarn.scheduler.maximum-allocation-mb={int(max_alloc[i])}"
-            )
-        elif rejected_vcores[i]:
-            reasons.append(
-                f"executor cores {int(cores[i])} exceed "
-                f"yarn.scheduler.maximum-allocation-vcores={int(max_vcores[i])}"
-            )
-        elif hangs[i]:
-            reasons.append(
-                "no NodeManager can host a single container (memory)"
-            )
-        else:
-            reasons.append("")
-
-    return BatchPlacement(
-        n_executors=granted,
-        executor_cores=cores,
-        executor_heap_mb=heap,
-        container_mb=container,
-        feasible=feasible,
-        reasons=tuple(reasons),
-        cpu_oversubscribed=oversubscribed,
-        effective_vcores_per_node=np.where(feasible, effective_vcores, 0),
-        hangs=hangs,
     )

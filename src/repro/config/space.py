@@ -6,11 +6,10 @@ columnar transform tables at construction time: per-parameter bounds,
 log-scale coefficients, categorical index maps and integer-rounding
 masks.  The tables cover the four parameter kinds of
 :mod:`repro.config.parameter`, the only kinds a space holds.  The scalar
-:meth:`encode`/:meth:`decode` are thin views over those tables —
-bit-identical to each parameter's own ``encode``/``decode`` — and the
-batch variants (:meth:`encode_batch`, :meth:`decode_batch`,
-:meth:`decode_columns`) apply the same tables across the candidate axis
-in a handful of numpy operations.
+:meth:`encode`/:meth:`decode` walk those tables one value at a time —
+bit-identical to each parameter's own ``encode``/``decode`` — and
+:meth:`decode_columns` applies them across the candidate axis in a
+handful of numpy operations; :meth:`decode_batch` is its row view.
 """
 
 from __future__ import annotations
@@ -162,12 +161,12 @@ class ConfigurationSpace:
         self._assemblers = tuple(
             (p.name, _make_assembler(p)) for p in self._params
         )
-        # Per-kind column tables for the fully columnar decode paths:
-        # decode_batch/decode_columns dispatch per *kind* once per call
-        # instead of per cell, using these precomputed index sets.
+        # Per-kind column tables for the columnar decode: decode_columns
+        # dispatches per *kind* once per call instead of per cell, using
+        # these precomputed index sets.
         self._dec_float: list[tuple[int, str]] = []
         self._dec_bool: list[tuple[int, str]] = []
-        self._dec_cat: list[tuple[int, str, tuple, int, np.ndarray]] = []
+        self._dec_cat: list[tuple[int, str, int, np.ndarray]] = []
         int_cols: list[int] = []
         self._dec_int_names: list[str] = []
         for i, p in enumerate(self._params):
@@ -179,9 +178,11 @@ class ConfigurationSpace:
             elif type(p) is BoolParameter:
                 self._dec_bool.append((i, p.name))
             else:
+                # An object array indexes to the parameter's own choice
+                # strings, so decoded rows share them instead of copying.
                 self._dec_cat.append(
-                    (i, p.name, p.choices, len(p.choices) - 1,
-                     np.asarray(p.choices))
+                    (i, p.name, len(p.choices) - 1,
+                     np.array(p.choices, dtype=object))
                 )
         self._dec_int_idx = np.array(int_cols, dtype=np.intp)
         self._dec_int_lo = np.array(
@@ -306,22 +307,6 @@ class ConfigurationSpace:
             i += 1
         return self._normalize(out)
 
-    def encode_batch(self, configs: Sequence[Mapping[str, Any]]) -> np.ndarray:
-        """Encode ``n`` configuration dicts into an ``(n, dim)`` matrix.
-
-        Row ``i`` is bit-identical to ``encode(configs[i])``.
-        """
-        n = len(configs)
-        out = np.empty((n, self.dim), dtype=np.float64)
-        for r, config in enumerate(configs):
-            self._check_keys(config)
-            row = out[r]
-            i = 0
-            for name, extract in self._extractors:
-                row[i] = extract(config[name])
-                i += 1
-        return self._normalize(out)
-
     def decode(self, vector: np.ndarray) -> dict[str, Any]:
         """Decode a [0,1]^d vector into a concrete configuration dict."""
         vec = np.asarray(vector, dtype=np.float64)
@@ -337,41 +322,33 @@ class ConfigurationSpace:
     def decode_batch(self, vectors: np.ndarray) -> list[dict[str, Any]]:
         """Decode an ``(n, dim)`` matrix into ``n`` configuration dicts.
 
-        Entry ``i`` equals ``decode(vectors[i])`` exactly.  Assembly is
-        columnar: each parameter *kind* is converted in one vectorized
-        pass over its cached column set (``np.rint`` matches Python's
-        banker's ``round``, ``astype(int64)`` matches ``int()``'s
-        truncation on the non-negative categorical bins), then the rows
-        are zipped back into dicts — ~d·n fewer interpreter calls than
-        assembling per cell.
+        The row view of :meth:`decode_columns`; entry ``i`` equals
+        ``decode(vectors[i])`` exactly.
         """
-        mat = self._check_matrix(vectors)
-        lin = self._linearize(mat)
-        columns: list[list] = [None] * self.dim  # type: ignore[list-item]
-        for c, _ in self._dec_float:
-            columns[c] = lin[:, c].tolist()
-        if self._dec_int_idx.size:
-            ints = np.clip(
-                np.rint(lin[:, self._dec_int_idx]),
-                self._dec_int_lo,
-                self._dec_int_hi,
-            ).astype(np.int64)
-            for j, c in enumerate(self._dec_int_idx):
-                columns[c] = ints[:, j].tolist()
-        for c, _ in self._dec_bool:
-            columns[c] = (lin[:, c] >= 0.5).tolist()
-        for c, _, choices, last, _arr in self._dec_cat:
-            idx = np.minimum(lin[:, c].astype(np.int64), last)
-            columns[c] = [choices[k] for k in idx.tolist()]
+        return self.rows(self.decode_columns(vectors))
+
+    def rows(self, columns: Mapping[str, np.ndarray]) -> list[dict[str, Any]]:
+        """The configuration dicts of :meth:`decode_columns` output.
+
+        ``tolist`` yields the Python ``float``/``int``/``bool`` that
+        :meth:`decode` gives, and each categorical value is the
+        parameter's own choice string.  Keys follow parameter order.
+        """
         names = self._names
-        return [dict(zip(names, row)) for row in zip(*columns)]
+        return [
+            dict(zip(names, row))
+            for row in zip(*[columns[name].tolist() for name in names])
+        ]
 
     def decode_columns(self, vectors: np.ndarray) -> dict[str, np.ndarray]:
         """Decode an ``(n, dim)`` matrix into typed per-parameter columns.
 
-        Stays fully in numpy — no per-row dicts — for consumers that only
-        need columns: float64 for floats, int64 for ints, bool for flags,
-        unicode for categoricals.  Column values match :meth:`decode`.
+        The one columnar decoder: float64 for floats, int64 for ints,
+        bool for flags, and object arrays of the parameter's own choice
+        strings for categoricals.  Column values match :meth:`decode`
+        (``np.rint`` matches Python's banker's ``round``, and
+        ``astype(int64)`` matches ``int()``'s truncation on the
+        non-negative categorical bins).
         """
         mat = self._check_matrix(vectors)
         lin = self._linearize(mat)
@@ -388,9 +365,9 @@ class ConfigurationSpace:
                 cols[name] = ints[:, j]
         for c, name in self._dec_bool:
             cols[name] = lin[:, c] >= 0.5
-        for c, name, _choices, last, arr in self._dec_cat:
+        for c, name, last, choices in self._dec_cat:
             idx = np.minimum(lin[:, c].astype(np.int64), last)
-            cols[name] = arr[idx]
+            cols[name] = choices[idx]
         return cols
 
     def _check_matrix(self, vectors: np.ndarray) -> np.ndarray:

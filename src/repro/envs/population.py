@@ -16,6 +16,10 @@ metric dropout, load-average evolution), because
   that session's own generators — the streams are disjoint objects, so
   batching across sessions cannot reorder any single session's draws.
 
+:func:`step_rows` is the one batch step: ``VectorTuningEnv.step`` runs
+it over distinct sessions, and ``TuningEnv.step_batch`` over one
+session repeated.
+
 Pinned by ``tests/test_population_equivalence.py``.
 """
 
@@ -25,10 +29,42 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.config.space import ConfigurationSpace
 from repro.envs.tuning_env import StepOutcome, TuningEnv
 from repro.sim.batch import evaluate_population
 
-__all__ = ["VectorTuningEnv"]
+__all__ = ["VectorTuningEnv", "step_rows"]
+
+
+def step_rows(
+    space: ConfigurationSpace,
+    envs: Sequence[TuningEnv],
+    actions: np.ndarray,
+) -> list[StepOutcome]:
+    """Step ``envs[r]`` with ``actions[r]`` through one simulator pass.
+
+    Clip, decode once, :func:`~repro.sim.batch.evaluate_population`,
+    then each environment absorbs its row, in row order.  ``envs`` may
+    repeat one environment: its rows then draw from its streams as that
+    many scalar steps would.
+    """
+    mat = np.asarray(actions, dtype=np.float64)
+    if mat.shape != (len(envs), space.dim):
+        raise ValueError(
+            f"expected shape ({len(envs)}, {space.dim}), got {mat.shape}"
+        )
+    vecs = np.clip(mat, 0.0, 1.0)
+    columns = space.decode_columns(vecs)
+    configs = space.rows(columns)
+    # Through this module's binding, which the benchmark's ``--trace``
+    # layers patch to count each batch row once.
+    results = evaluate_population(
+        [env.simulator for env in envs], configs, columns
+    )
+    return [
+        env._absorb_result(result, vecs[r].copy(), configs[r])
+        for r, (env, result) in enumerate(zip(envs, results))
+    ]
 
 
 class VectorTuningEnv:
@@ -91,20 +127,7 @@ class VectorTuningEnv:
         Bit-identical to ``[self.envs[i].step(a) for i, a in
         zip(indices, actions)]``; see the module docstring for why.
         """
-        idx = (
-            list(range(len(self.envs))) if indices is None else list(indices)
-        )
-        mat = np.asarray(actions, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape != (len(idx), self.space.dim):
-            raise ValueError(
-                f"expected shape ({len(idx)}, {self.space.dim}), "
-                f"got {mat.shape}"
-            )
-        vecs = np.clip(mat, 0.0, 1.0)
-        configs = self.space.decode_batch(vecs)
-        sims = [self.envs[i].simulator for i in idx]
-        results = evaluate_population(sims, vecs, self.space)
-        return [
-            self.envs[i]._absorb_result(result, vecs[r].copy(), configs[r])
-            for r, (i, result) in enumerate(zip(idx, results))
+        envs = self.envs if indices is None else [
+            self.envs[i] for i in indices
         ]
+        return step_rows(self.space, envs, actions)

@@ -144,25 +144,21 @@ class TuningEnv:
     def step_batch(self, actions: np.ndarray) -> list[StepOutcome]:
         """Evaluate ``n`` actions through the vectorized simulator path.
 
-        Bit-identical to ``[self.step(a) for a in actions]``: the analytic
-        stage math is broadcast over the candidate axis, while every RNG
-        stream (measurement noise and straggler tails on the simulator
-        generator, fault perturbation and metric dropout on the fault
-        generator, load-average evolution on the state generator) is
-        drawn per-candidate in the exact scalar order.
+        This is the population's batch step
+        (:func:`~repro.envs.population.step_rows`) with this environment
+        on every row.  Bit-identical to ``[self.step(a) for a in
+        actions]``: the analytic stage math is broadcast over the
+        candidate axis, while every RNG stream (measurement noise and
+        straggler tails on the simulator generator, fault perturbation
+        and metric dropout on the fault generator, load-average
+        evolution on the state generator) is drawn per-candidate in the
+        exact scalar order.
         """
+        from repro.envs.population import step_rows
+
         mat = np.asarray(actions, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[1] != self.space.dim:
-            raise ValueError(
-                f"expected shape (n, {self.space.dim}), got {mat.shape}"
-            )
-        vecs = np.clip(mat, 0.0, 1.0)
-        configs = self.space.decode_batch(vecs)
-        results = self.simulator.evaluate_batch(vecs, self.space)
-        return [
-            self._absorb_result(result, vecs[i].copy(), configs[i])
-            for i, result in enumerate(results)
-        ]
+        rows = len(mat) if mat.ndim else 0
+        return step_rows(self.space, [self] * rows, mat)
 
     def _absorb_result(
         self,

@@ -253,51 +253,6 @@ def _run_online_session(
     unaffected); it observes the *online* stage only — offline training
     is a shared, cacheable artifact and stays clean.
     """
-    t, env, res, steps = _prepare_online_session(
-        workload=workload, dataset=dataset, tuner=tuner, seed=seed,
-        offline_iterations=offline_iterations,
-        ottertune_samples=ottertune_samples, online_steps=online_steps,
-        cluster=cluster, train_workload=train_workload,
-        train_dataset=train_dataset, train_cluster=train_cluster,
-        overrides=overrides, tuner_attrs=tuner_attrs,
-        fault_profile=fault_profile, resilience=resilience,
-    )
-    tune_kwargs: dict[str, Any] = {}
-    if telemetry is not None:
-        # Baselines like OtterTune predate the telemetry kwarg; only
-        # inject it where the tuner's tune_online accepts it.
-        if "telemetry" in inspect.signature(t.tune_online).parameters:
-            tune_kwargs["telemetry"] = telemetry
-    if res is not None:
-        tune_kwargs["resilience"] = res
-    return t.tune_online(env, steps=steps, **tune_kwargs)
-
-
-def _prepare_online_session(
-    *,
-    workload: str,
-    dataset: str,
-    tuner: str,
-    seed: int,
-    offline_iterations: int,
-    ottertune_samples: int,
-    online_steps: int,
-    cluster: str = "cluster-a",
-    train_workload: str | None = None,
-    train_dataset: str | None = None,
-    train_cluster: str = "cluster-a",
-    overrides: dict[str, Any] | None = None,
-    tuner_attrs: dict[str, Any] | None = None,
-    fault_profile: str = "none",
-    resilience: bool = False,
-):
-    """Train/fork the tuner and build the environment for one
-    ``online-session`` cell; returns ``(tuner, env, resilience, steps)``.
-
-    Shared by the scalar task and the population grouping — both produce
-    exactly the objects ``tune_online`` would act on, so the lockstep
-    population starts from bit-identical member state.
-    """
     sc = _budget_scale(
         seed, offline_iterations=offline_iterations,
         ottertune_samples=ottertune_samples, online_steps=online_steps,
@@ -325,56 +280,19 @@ def _prepare_online_session(
         setattr(t, attr, value)
     env = online_env(workload, dataset, seed, cluster=_CLUSTERS[cluster],
                      fault_profile=fault_profile)
-    res = None
+    tune_kwargs: dict[str, Any] = {}
+    if telemetry is not None:
+        # Baselines like OtterTune predate the telemetry kwarg; only
+        # inject it where the tuner's tune_online accepts it.
+        if "telemetry" in inspect.signature(t.tune_online).parameters:
+            tune_kwargs["telemetry"] = telemetry
     if resilience:
         if tuner != "DeepCAT":
             raise ValueError("resilience cells are DeepCAT-only")
         from repro.core.resilience import ResiliencePolicy
 
-        res = ResiliencePolicy.default(seed=seed)
-    return t, env, res, sc.online_steps
-
-
-def _population_groups(tasks, pending: list[int]) -> list[list[int]]:
-    """Cache-missed ``online-session`` DeepCAT cells that differ only in
-    ``seed``, grouped for lockstep population stepping (>= 2 members).
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i in pending:
-        task = tasks[i]
-        if task.kind != "online-session":
-            continue
-        if task.params.get("tuner") != "DeepCAT":
-            continue
-        key = tuple(
-            sorted(
-                (k, repr(v)) for k, v in task.params.items() if k != "seed"
-            )
-        )
-        groups.setdefault(key, []).append(i)
-    return [idxs for idxs in groups.values() if len(idxs) >= 2]
-
-
-def _run_online_population(params_list: list[dict[str, Any]]):
-    """Run a seed-differing group of DeepCAT ``online-session`` cells as
-    one lockstep population; per-cell sessions (input order) are
-    bit-identical to running each cell alone, so cached results are
-    interchangeable with scalar ones and ``CACHE_VERSION`` is unchanged.
-    """
-    from repro.core.population import PopulationTuner
-
-    tuners, envs, resiliences = [], [], []
-    steps = None
-    for params in params_list:
-        t, env, res, online_steps = _prepare_online_session(**params)
-        tuners.append(t)
-        envs.append(env)
-        resiliences.append(res)
-        steps = online_steps
-    population = PopulationTuner.from_deepcat(
-        tuners, envs, resiliences=resiliences
-    )
-    return population.tune(steps=steps)
+        tune_kwargs["resilience"] = ResiliencePolicy.default(seed=seed)
+    return t.tune_online(env, steps=sc.online_steps, **tune_kwargs)
 
 
 @task_kind("policy-quality")
@@ -1499,38 +1417,12 @@ class ExperimentEngine:
 
     def _run_inline(self, tasks: Sequence[TaskSpec], pending: list[int],
                     results: list[Any]) -> float:
-        """Inline dispatch (jobs=1): the exact serial code path, now with
-        supervised per-task retries.  Seed-differing DeepCAT cells are
-        batched into lockstep populations (bit-identical per cell, so the
-        cache sees ordinary scalar results); bus mode keeps per-task
-        workers for stream attribution; a failing population group is
-        dissolved and its cells retried individually."""
+        """Inline dispatch (jobs=1): the exact serial code path, with
+        supervised per-task retries; bus mode keeps per-task workers
+        for stream attribution."""
         compute_s = 0.0
-        handled: set[int] = set()
-        if self.bus_dir is None:
-            for idxs in _population_groups(tasks, pending):
-                t0 = time.perf_counter()
-                try:
-                    sessions = _run_online_population(
-                        [tasks[i].params for i in idxs]
-                    )
-                except Exception as exc:
-                    print(
-                        f"engine: population group of {len(idxs)} cell(s) "
-                        f"failed ({type(exc).__name__}: {exc}); retrying "
-                        "the cells individually", file=sys.stderr,
-                    )
-                    continue
-                seconds = (time.perf_counter() - t0) / len(idxs)
-                for i, session in zip(idxs, sessions):
-                    compute_s += seconds
-                    self._note_duration(tasks[i].kind, seconds)
-                    self._finish(tasks[i], i, session, seconds, results)
-                    handled.add(i)
         bus_dir = str(self.bus_dir) if self.bus_dir is not None else None
         for i in pending:
-            if i in handled:
-                continue
             attempt = 0
             while True:
                 attempt += 1

@@ -4,11 +4,11 @@ The analytic stage model is deterministic given a configuration; only the
 measurement noise and straggler tails are stochastic.  That split drives
 the batch design:
 
-1. **pass 1 (vectorized, no RNG)** — decode the candidate matrix into
-   typed columns, plan YARN placements for all candidates at once, and
-   broadcast the per-stage CPU/disk/network/overhead math over the
-   candidate axis.  OOM verdicts are configuration-only, so the stage at
-   which each candidate fails (if any) is known before any draw.
+1. **pass 1 (no RNG)** — place each candidate with the scalar YARN
+   model, then broadcast the per-stage CPU/disk/network/overhead math
+   over the feasible candidates, reading the decoded config columns.
+   OOM verdicts are configuration-only, so the stage at which each
+   candidate fails (if any) is known before any draw.
 2. **pass 2 (sequential RNG + assembly)** — walk candidates in order,
    drawing exactly the variates the scalar path would (one noise factor
    per feasible candidate, one straggler tail per completed stage,
@@ -27,18 +27,18 @@ array ``**`` is not bit-identical to it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.cluster.yarn import plan_executors_batch
+from repro.cluster.hardware import ClusterSpec
+from repro.cluster.yarn import ExecutorPlacement, plan_executors
 from repro.sim.codecs import codec_profile, serializer_profile
 from repro.sim.faults import vmem_kill_penalty
 from repro.sim.result import ExecutionResult, StageResult
 from repro.utils.stats import lognormal_noise_factor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.config.space import ConfigurationSpace
     from repro.sim.engine import SparkSimulator
 
 __all__ = ["evaluate_population"]
@@ -120,24 +120,41 @@ class _ClusterVecModels:
         )
 
 
+def plan_executors_batch(
+    configs: Sequence[Mapping[str, Any]], cluster: ClusterSpec
+) -> list[ExecutorPlacement]:
+    """:func:`~repro.cluster.yarn.plan_executors` for each config.
+
+    YARN admits each application's container request on its own, and
+    pass 2 needs one :class:`ExecutorPlacement` per row anyway, so
+    placement is not vectorized: a columnar model plus a placement per
+    row cost about what this loop does.  It stays a function because
+    the benchmark's ``--trace`` layers (``benchmarks/perf/layers.py``)
+    patch it by this name.
+    """
+    return [plan_executors(config, cluster) for config in configs]
+
+
 def evaluate_population(
     sims: "list[SparkSimulator]",
-    vectors: np.ndarray,
-    space: "ConfigurationSpace",
+    configs: Sequence[Mapping[str, Any]],
+    columns: Mapping[str, np.ndarray],
 ) -> list[ExecutionResult]:
-    """Evaluate one vector per simulator through a single analytic pass.
+    """Evaluate one decoded configuration per simulator in one pass.
 
-    ``sims[j]`` evaluates ``vectors[j]``.  All simulators must share the
-    same workload, dataset, and cluster, so the deterministic pass-1
-    stage math (:func:`_stage_plan` never touches per-sim state) is
-    computed once for the whole population; pass 2 walks rows in order
-    drawing each simulator's *own* RNG stream and counting against its
-    own telemetry, exactly as a scalar ``sims[j].evaluate`` would.
-    Faults are never applied here: the environment applies its own
-    (see ``TuningEnv._absorb_result``).
+    ``sims[j]`` evaluates ``configs[j]``.  ``columns`` is the same batch
+    column-wise: ``columns = space.decode_columns(vectors)`` and
+    ``configs = space.rows(columns)``, one decode for both.  All
+    simulators must share the same workload, dataset, and cluster, so
+    the deterministic pass-1 stage math (:func:`_stage_plan` never
+    touches per-sim state) is computed once for the whole population;
+    pass 2 walks rows in order drawing each simulator's *own* RNG
+    stream and counting against its own telemetry, exactly as a scalar
+    ``sims[j].evaluate`` would.  Faults are never applied here: the
+    environment applies its own (see ``TuningEnv._absorb_result``).
 
-    Row ``j`` is bit-identical to ``sims[j].evaluate(space.decode(
-    vectors[j]))`` under the same per-sim generator states.
+    Row ``j`` is bit-identical to ``sims[j].evaluate(configs[j])``
+    under the same per-sim generator states.
     """
     from repro.sim.engine import (
         CACHE_REPARSE_CPU_PER_MB,
@@ -148,15 +165,10 @@ def evaluate_population(
         WAVE_LAUNCH_SECONDS,
     )
 
-    mat = np.asarray(vectors, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[1] != space.dim:
-        raise ValueError(
-            f"expected shape (n, {space.dim}), got {mat.shape}"
-        )
-    n = mat.shape[0]
+    n = len(configs)
     if len(sims) != n:
         raise ValueError(
-            f"got {len(sims)} simulators for {n} vectors"
+            f"got {len(sims)} simulators for {n} configurations"
         )
     if n == 0:
         return []
@@ -179,32 +191,28 @@ def evaluate_population(
     with t0.span(
         "sim.evaluate_population", workload=lead.workload.code, n=n
     ):
-        cols = space.decode_columns(mat)
-        placement = plan_executors_batch(cols, cluster)
-        fi = np.flatnonzero(placement.feasible)
-        k = fi.size
+        placements = plan_executors_batch(configs, cluster)
+        fi = np.flatnonzero([pl.feasible for pl in placements])
 
         plan = _stage_plan(
-            lead, cols, placement, fi, cluster, node, stages,
-            CACHE_REPARSE_CPU_PER_MB, SPILL_CPU_PER_MB, OVERLAP_RESIDUE,
-            STAGE_SETUP_SECONDS, TASK_DISPATCH_SECONDS, WAVE_LAUNCH_SECONDS,
-        ) if k else None
-
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[fi] = np.arange(k)
+            lead, columns, [placements[j] for j in fi], fi, cluster, node,
+            stages, CACHE_REPARSE_CPU_PER_MB, SPILL_CPU_PER_MB,
+            OVERLAP_RESIDUE, STAGE_SETUP_SECONDS, TASK_DISPATCH_SECONDS,
+            WAVE_LAUNCH_SECONDS,
+        ) if fi.size else None
 
         results: list[ExecutionResult] = []
-        for j in range(n):
-            sim = sims[j]
+        p = 0  # row of the feasible subset in ``plan``
+        for sim, pl in zip(sims, placements):
             sim.evaluation_count += 1
             sim.telemetry.count(
                 "sim.evaluations_total", help="simulated configuration runs"
             )
-            pl = placement.row(j)
             if not pl.feasible:
                 results.append(sim._rejected(pl))
                 continue
-            results.append(_assemble_feasible(sim, pl, plan, int(pos[j])))
+            results.append(_assemble_feasible(sim, pl, plan, p))
+            p += 1
     return results
 
 
@@ -220,16 +228,17 @@ class _StagePlan:
 
 
 def _stage_plan(
-    sim, cols, placement, fi, cluster, node, stages,
+    sim, cols, feasible, fi, cluster, node, stages,
     cache_reparse_cpu, spill_cpu, overlap_residue,
     stage_setup_s, task_dispatch_s, wave_launch_s,
 ) -> _StagePlan:
-    """Vectorize the per-stage analytic model over the feasible subset."""
+    """Vectorize the per-stage analytic model over the feasible subset
+    (``feasible`` holds the placements of rows ``fi``)."""
     k = fi.size
-    heap = placement.executor_heap_mb[fi]
-    cores = placement.executor_cores[fi]
-    n_exec = placement.n_executors[fi]
-    total_cores = placement.total_cores[fi]
+    heap = np.array([pl.executor_heap_mb for pl in feasible], dtype=np.int64)
+    cores = np.array([pl.executor_cores for pl in feasible], dtype=np.int64)
+    n_exec = np.array([pl.n_executors for pl in feasible], dtype=np.int64)
+    total_cores = n_exec * cores
     if np.any(heap <= 0) or np.any(cores <= 0):
         raise ValueError("executor heap and cores must be positive")
 

@@ -121,7 +121,9 @@ class SparkSimulator:
         """
         from repro.sim.batch import evaluate_population
 
-        return evaluate_population([self] * len(vectors), vectors, space)
+        columns = space.decode_columns(vectors)
+        configs = space.rows(columns)
+        return evaluate_population([self] * len(configs), configs, columns)
 
     def _evaluate(self, config: Mapping[str, Any]) -> ExecutionResult:
         self.evaluation_count += 1
@@ -191,7 +193,7 @@ class SparkSimulator:
         t = self.telemetry
         t.count(
             "sim.faults_total",
-            help="injected faults by kind",
+            help="simulator failures by kind (not injected chaos)",
             kind="yarn-hang" if placement.hangs else "yarn-reject",
         )
         t.event(
@@ -225,7 +227,7 @@ class SparkSimulator:
         t = self.telemetry
         t.count(
             "sim.faults_total",
-            help="injected faults by kind",
+            help="simulator failures by kind (not injected chaos)",
             kind="stage-failure",
         )
         t.event(
