@@ -1,11 +1,11 @@
 """CDBTune baseline (Zhang et al., SIGMOD 2019).
 
 An end-to-end DRL tuner: DDPG recommends configurations from system
-metrics; experience replay uses TD-error prioritization.  Shares the
-offline/online machinery with DeepCAT but has neither twin critics (so it
-overestimates Q), nor RDPER (so sparse high-reward transitions drown),
-nor the Twin-Q Optimizer (so every online recommendation — good or bad —
-is paid for with a real evaluation).
+metrics; experience replay uses TD-error prioritization.  Runs DeepCAT's
+offline and online stages (:class:`~repro.core.deepcat.DRLTuner`) but has
+neither twin critics (so it overestimates Q), nor RDPER (so sparse
+high-reward transitions drown), nor the Twin-Q Optimizer (so every online
+recommendation — good or bad — is paid for with a real evaluation).
 """
 
 from __future__ import annotations
@@ -14,17 +14,16 @@ import numpy as np
 
 from repro.agents.base import AgentHyperParams
 from repro.agents.ddpg import DDPGAgent
-from repro.core.offline import OfflineTrainer, OfflineTrainingLog
-from repro.core.online import OnlineTuner
-from repro.core.result import OnlineSession
-from repro.envs.tuning_env import TuningEnv
+from repro.core.deepcat import DRLTuner
 from repro.replay.per import PrioritizedReplayBuffer
 
 __all__ = ["CDBTune"]
 
 
-class CDBTune:
+class CDBTune(DRLTuner):
     """DDPG + TD-error PER tuner."""
+
+    name = "CDBTune"
 
     def __init__(
         self,
@@ -34,57 +33,10 @@ class CDBTune:
         hp: AgentHyperParams | None = None,
         buffer_capacity: int = 20_000,
     ):
-        rng = (
-            seed
-            if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(seed)
+        super().__init__(
+            seed, hp,
+            lambda rng, hp: DDPGAgent(state_dim, action_dim, rng, hp),
+            lambda rng: PrioritizedReplayBuffer(
+                buffer_capacity, state_dim, action_dim, rng
+            ),
         )
-        agent_rng, buffer_rng, online_rng = rng.spawn(3)
-        self.hp = hp if hp is not None else AgentHyperParams()
-        self.agent = DDPGAgent(state_dim, action_dim, agent_rng, self.hp)
-        self.buffer = PrioritizedReplayBuffer(
-            buffer_capacity, state_dim, action_dim, buffer_rng
-        )
-        self._online_rng = online_rng
-        self.offline_log: OfflineTrainingLog | None = None
-
-    @classmethod
-    def from_env(
-        cls, env: TuningEnv, seed: int | np.random.Generator = 0, **kwargs
-    ) -> "CDBTune":
-        return cls(env.state_dim, env.action_dim, seed=seed, **kwargs)
-
-    def train_offline(
-        self, env: TuningEnv, iterations: int, updates_per_step: int = 1,
-        callback=None, telemetry=None,
-    ) -> OfflineTrainingLog:
-        if telemetry is not None and telemetry.manifest is not None:
-            telemetry.manifest.record_hyper_params(self.hp)
-            telemetry.manifest.record_cluster(env.cluster)
-        trainer = OfflineTrainer(
-            self.agent, self.buffer, updates_per_step=updates_per_step,
-            telemetry=telemetry,
-        )
-        self.offline_log = trainer.train(env, iterations, callback=callback)
-        return self.offline_log
-
-    def tune_online(
-        self,
-        env: TuningEnv,
-        steps: int = 5,
-        time_budget_s: float | None = None,
-        fine_tune_updates: int = 2,
-        exploration_sigma: float = 0.3,
-        telemetry=None,
-    ) -> OnlineSession:
-        tuner = OnlineTuner(
-            self.agent,
-            self.buffer,
-            name="CDBTune",
-            use_twin_q=False,
-            fine_tune_updates=fine_tune_updates,
-            exploration_sigma=exploration_sigma,
-            rng=self._online_rng,
-            telemetry=telemetry,
-        )
-        return tuner.tune(env, steps=steps, time_budget_s=time_budget_s)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import signal
 import sys
@@ -345,12 +346,19 @@ def _coerce(param, raw: str):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"{param.name}: cannot parse boolean {raw!r}")
+        raise ValueError(f"cannot parse boolean {raw!r}")
     if isinstance(param, IntParameter):
         return int(raw)
     if isinstance(param, FloatParameter):
-        return float(raw)
+        value = float(raw)
+        if math.isnan(value):  # the only float that clipping cannot place
+            raise ValueError(f"{raw!r} is not a number")
+        return value
     if isinstance(param, CategoricalParameter):
+        if raw not in param.choices:
+            raise ValueError(
+                f"{raw!r} is not one of {', '.join(param.choices)}"
+            )
         return raw
     raise TypeError(f"unknown parameter type for {param.name}")
 
@@ -614,9 +622,13 @@ def _cmd_tune(args) -> int:
     if not _counts_ok("tune", args, "--steps", "--checkpoint-every"):
         return 2
     if args.resume is not None:
-        ck = load_population_checkpoint(args.resume)
+        try:
+            ck = load_population_checkpoint(args.resume)
+        except OSError as exc:
+            print(f"tune: {exc}", file=sys.stderr)
+            return 1
         tuners, envs, sessions = ck.tuners, ck.envs, ck.sessions
-        start_steps, resiliences = ck.next_steps, ck.resiliences
+        resiliences = ck.resiliences
         # keep snapshotting into the same file unless redirected
         ckpt_path = args.checkpoint if args.checkpoint else args.resume
     else:
@@ -629,7 +641,16 @@ def _cmd_tune(args) -> int:
             from repro.core.population import population_seed_plan
 
             seeds = population_seed_plan(args.seed, args.population)
-        tuners = [load_tuner(args.model, seed=s) for s in seeds]
+        try:
+            tuners = [load_tuner(args.model, seed=s) for s in seeds]
+        except OSError as exc:
+            print(f"tune: {exc}", file=sys.stderr)
+            return 1
+        if len(tuners) > 1 and not isinstance(tuners[0], DeepCAT):
+            # a population stacks TD3's twin critics across its members
+            print(f"tune: --population needs a DeepCAT model; {args.model} "
+                  f"holds a {tuners[0].name} model", file=sys.stderr)
+            return 2
         envs = [
             make_env(args.workload, args.dataset,
                      cluster=_CLUSTERS[args.cluster], seed=1000 + s,
@@ -645,11 +666,10 @@ def _cmd_tune(args) -> int:
             for s in seeds
         ]
         sessions = [None] * len(seeds)
-        start_steps = [0] * len(seeds)
         ckpt_path = args.checkpoint
     numbered = args.population is not None or len(tuners) > 1
     if args.resume is not None:
-        done = min(start_steps)
+        done = min(ck.next_steps)
         if done >= args.steps:
             print(f"nothing to do: {args.resume} already has {done} step(s)"
                   + (" in every session" if numbered else ""))
@@ -688,8 +708,7 @@ def _cmd_tune(args) -> int:
                 sessions = [tuners[0].tune_online(
                     envs[0], steps=args.steps, time_budget_s=args.time_budget,
                     telemetry=ctx, resilience=resiliences[0],
-                    session=sessions[0], start_step=start_steps[0],
-                    checkpoint=checkpoint,
+                    session=sessions[0], checkpoint=checkpoint,
                 )]
             elif sharded:
                 from repro.parallel import ShardCrash, ShardedPopulation
@@ -697,7 +716,6 @@ def _cmd_tune(args) -> int:
                 population = ShardedPopulation(
                     tuners, envs, shards=args.shards, telemetry=ctx,
                     resiliences=resiliences, sessions=sessions,
-                    start_steps=start_steps,
                 )
                 try:
                     sessions = population.tune(
@@ -720,7 +738,7 @@ def _cmd_tune(args) -> int:
 
                 sessions = PopulationTuner.from_deepcat(
                     tuners, envs, telemetry=ctx, resiliences=resiliences,
-                    sessions=sessions, start_steps=start_steps,
+                    sessions=sessions,
                 ).tune(
                     steps=args.steps, time_budget_s=args.time_budget,
                     checkpoint=checkpoint,
@@ -753,7 +771,11 @@ def _cmd_evaluate(args) -> int:
         if key not in env.space:
             print(f"unknown parameter {key!r}", file=sys.stderr)
             return 2
-        config[key] = _coerce(env.space[key], raw)
+        try:
+            config[key] = _coerce(env.space[key], raw)
+        except ValueError as exc:
+            print(f"evaluate: --set {item}: {exc}", file=sys.stderr)
+            return 2
     outcome = env.step(env.space.encode(config))
     result = outcome.result
     status = "OK" if result.success else f"FAILED: {result.failure_reason}"

@@ -310,7 +310,6 @@ class OnlineTuner:
         time_budget_s: float | None = None,
         *,
         session: OnlineSession | None = None,
-        start_step: int = 0,
         resilience: ResiliencePolicy | None = None,
         checkpoint=None,
     ) -> OnlineSession:
@@ -324,10 +323,10 @@ class OnlineTuner:
         and the safety guard (see :mod:`repro.core.resilience`); with
         ``None`` the loop behaves bit-identically to earlier builds.
 
-        ``session``/``start_step`` resume a checkpointed run: pass the
-        restored session and the next step index (which must equal
-        ``len(session.steps)``); the loop continues from there as if it
-        had never stopped.  ``checkpoint`` is a
+        ``session`` resumes a checkpointed run: pass the restored
+        session, and the loop continues from its next step,
+        ``len(session.steps)``, as if it had never stopped.
+        ``checkpoint`` is a
         :class:`~repro.core.persistence.PopulationCheckpointManager` over
         this one member (``[tuner]``, ``[env]``), snapshotting the session
         as a population of one at its cadence; on ``KeyboardInterrupt`` a
@@ -335,13 +334,8 @@ class OnlineTuner:
         """
         if steps <= 0:
             raise ValueError("steps must be positive")
-        if session is not None and start_step != len(session.steps):
-            raise ValueError(
-                "start_step must equal len(session.steps) when resuming"
-            )
         session = self._run_steps(
-            env, steps, time_budget_s, session, start_step, resilience,
-            checkpoint,
+            env, steps, time_budget_s, session, resilience, checkpoint
         )
         record_online_stage(self.telemetry, self.name, session)
         return session
@@ -352,7 +346,6 @@ class OnlineTuner:
         steps: int,
         time_budget_s: float | None,
         session: OnlineSession | None,
-        start_step: int,
         resilience: ResiliencePolicy | None,
         checkpoint=None,
     ) -> OnlineSession:
@@ -365,7 +358,7 @@ class OnlineTuner:
                 "online.tune", tuner=self.name, workload=session.workload,
                 dataset=session.dataset,
             ):
-                for step in range(start_step, steps):
+                for step in range(len(session.steps), steps):
                     with t.span("online.step", step=step):
                         t0 = time.perf_counter()
                         action, sigma = self._plan(resilience, step)
@@ -396,7 +389,7 @@ class OnlineTuner:
             # mid-step with RNG streams advanced for the in-flight
             # recommendation, and those must not overwrite clean state.
             if checkpoint is not None:
-                checkpoint.save_if_stale([session], [len(session.steps)])
+                checkpoint.save_if_stale([session])
             raise
         return session
 

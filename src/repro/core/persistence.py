@@ -6,10 +6,10 @@ The offline stage is trained once and reused for every tuning request
 one ``.npz`` file (the suffix is appended when missing, on save and on
 load alike).  Format 2 holds two uncompressed members:
 
-* ``__meta__`` — UTF-8 JSON with what rebuilds the agent (dimensions,
-  hyper-parameters, DeepCAT thresholds), ``format_version`` and
-  ``layout``: ``[key, shape]`` per parameter tensor (``"actor/0"``, ...)
-  in network order;
+* ``__meta__`` — UTF-8 JSON with what rebuilds the tuner (``kind``,
+  dimensions, hyper-parameters, the class's ``SETTINGS``),
+  ``format_version`` and ``layout``: ``[key, shape]`` per parameter
+  tensor (``"actor/0"``, ...) in network order;
 * ``params`` — every parameter concatenated into one float64 vector.
 
 Loading reads the vector once and copies per-tensor views of it into
@@ -23,12 +23,13 @@ Session *checkpoints* are the opposite: they freeze in-flight online
 tuning sessions completely — per member, agent weights, RDPER
 P_high/P_low pools, every RNG state, the environment (cluster tracker +
 simulator + fault injector), the resilience policy's streak state, and
-the step counter — so a killed run resumed with ``repro tune --resume``
-replays bit-identically to one that was never interrupted.  There is one
-checkpoint payload, a list of members: a single session is a population
-of one, and :class:`PopulationCheckpointManager` snapshots it, a
-lockstep population and a sharded one alike.  Single-session payloads
-written by earlier builds still load, as a population of one.
+the session so far, whose length is the step it resumes at — so a killed
+run resumed with ``repro tune --resume`` replays bit-identically to one
+that was never interrupted.  There is one checkpoint payload, a list of
+members: a single session is a population of one, and
+:class:`PopulationCheckpointManager` snapshots it, a lockstep population
+and a sharded one alike.  Single-session payloads written by earlier
+builds still load, as a population of one.
 
 Models and snapshots alike are written atomically (tmp file in the same
 directory + ``os.replace``), so a kill mid-write never corrupts the
@@ -70,11 +71,15 @@ _LEGACY_FORMAT_VERSION = 1
 _SESSION_CHECKPOINT_VERSION = 1
 _POPULATION_CHECKPOINT_VERSION = 1
 
-_TD3_NETS = (
-    "actor", "actor_target",
-    "critic1", "critic2", "critic1_target", "critic2_target",
-)
-_DDPG_NETS = ("actor", "actor_target", "critic", "critic_target")
+#: a model archive's ``kind``: the tuner class, and its agent's networks
+#: in archive order
+_KINDS = {
+    "deepcat": (DeepCAT, (
+        "actor", "actor_target",
+        "critic1", "critic2", "critic1_target", "critic2_target",
+    )),
+    "cdbtune": (CDBTune, ("actor", "actor_target", "critic", "critic_target")),
+}
 
 
 def _collect_arrays(agent, nets: tuple[str, ...]) -> dict[str, np.ndarray]:
@@ -99,30 +104,6 @@ def _restore_arrays(agent, nets: tuple[str, ...], arrays) -> None:
                     f"{key}: shape {data.shape} != expected {p.data.shape}"
                 )
             p.data[...] = data
-
-
-def _meta_for(tuner) -> dict:
-    if isinstance(tuner, DeepCAT):
-        return {
-            "kind": "deepcat",
-            "state_dim": tuner.agent.state_dim,
-            "action_dim": tuner.agent.action_dim,
-            "hp": asdict(tuner.hp),
-            "use_rdper": tuner.use_rdper,
-            "use_twin_q": tuner.use_twin_q,
-            "reward_threshold": tuner.reward_threshold,
-            "beta": tuner.beta,
-            "q_threshold": tuner.q_threshold,
-            "twinq_noise_sigma": tuner.twinq_noise_sigma,
-        }
-    if isinstance(tuner, CDBTune):
-        return {
-            "kind": "cdbtune",
-            "state_dim": tuner.agent.state_dim,
-            "action_dim": tuner.agent.action_dim,
-            "hp": asdict(tuner.hp),
-        }
-    raise TypeError(f"cannot persist {type(tuner).__name__}")
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -152,11 +133,21 @@ def save_tuner(tuner, path: str | Path) -> Path:
     """Serialize a trained DeepCAT or CDBTune model; returns the file
     written (``path``, with ``.npz`` appended if missing)."""
     path = _model_path(path)
-    meta = _meta_for(tuner)  # validates the tuner type first
-    nets = _TD3_NETS if isinstance(tuner, DeepCAT) else _DDPG_NETS
+    for kind, (cls, nets) in _KINDS.items():
+        if isinstance(tuner, cls):
+            break
+    else:
+        raise TypeError(f"cannot persist {type(tuner).__name__}")
     arrays = _collect_arrays(tuner.agent, nets)
-    meta["format_version"] = _FORMAT_VERSION
-    meta["layout"] = [[key, list(a.shape)] for key, a in arrays.items()]
+    meta = {
+        "kind": kind,
+        "state_dim": tuner.agent.state_dim,
+        "action_dim": tuner.agent.action_dim,
+        "hp": asdict(tuner.hp),
+        **{setting: getattr(tuner, setting) for setting in cls.SETTINGS},
+        "format_version": _FORMAT_VERSION,
+        "layout": [[key, list(a.shape)] for key, a in arrays.items()],
+    }
     params = np.concatenate(
         [a.ravel() for a in arrays.values()], dtype=np.float64
     )
@@ -203,30 +194,19 @@ def load_tuner(path: str | Path, seed: int = 0):
             arrays = archive
         else:
             raise ValueError(f"unsupported archive version {version}")
+        if meta["kind"] not in _KINDS:
+            raise ValueError(f"unknown tuner kind {meta['kind']!r}")
+        cls, nets = _KINDS[meta["kind"]]
         hp_dict = dict(meta["hp"])
         hp_dict["hidden"] = tuple(hp_dict["hidden"])
-        hp = AgentHyperParams(**hp_dict)
-        if meta["kind"] == "deepcat":
-            tuner = DeepCAT(
-                meta["state_dim"],
-                meta["action_dim"],
-                seed=seed,
-                hp=hp,
-                reward_threshold=meta["reward_threshold"],
-                beta=meta["beta"],
-                q_threshold=meta["q_threshold"],
-                twinq_noise_sigma=meta["twinq_noise_sigma"],
-                use_rdper=meta["use_rdper"],
-                use_twin_q=meta["use_twin_q"],
-            )
-            _restore_arrays(tuner.agent, _TD3_NETS, arrays)
-        elif meta["kind"] == "cdbtune":
-            tuner = CDBTune(
-                meta["state_dim"], meta["action_dim"], seed=seed, hp=hp
-            )
-            _restore_arrays(tuner.agent, _DDPG_NETS, arrays)
-        else:
-            raise ValueError(f"unknown tuner kind {meta['kind']!r}")
+        tuner = cls(
+            meta["state_dim"],
+            meta["action_dim"],
+            seed=seed,
+            hp=AgentHyperParams(**hp_dict),
+            **{setting: meta[setting] for setting in cls.SETTINGS},
+        )
+        _restore_arrays(tuner.agent, nets, arrays)
     return tuner
 
 
@@ -235,26 +215,34 @@ def load_tuner(path: str | Path, seed: int = 0):
 # ===================================================================== #
 
 
+def _next_step(session) -> int:
+    """The first step a member has not yet run: its session's length, or
+    0 before it has a session."""
+    return len(session.steps) if session is not None else 0
+
+
 @dataclass
 class PopulationCheckpoint:
     """Frozen in-flight online tuning sessions; a single session is a
     population of one.
 
-    Parallel per-member lists; ``next_steps[i]`` is the first step member
-    ``i`` has not yet executed (``len(sessions[i].steps)``).  A member
-    resumes alone through ``tuners[i].tune_online(envs[i], steps=total,
-    session=sessions[i], start_step=next_steps[i],
-    resilience=resiliences[i])``, and a population through
-    ``PopulationTuner.from_deepcat(tuners, envs, sessions=sessions,
-    start_steps=next_steps, resiliences=resiliences)`` and ``tune`` with
-    the original total step count.
+    Parallel per-member lists.  A session is its own resume point: a
+    member resumes alone through ``tuners[i].tune_online(envs[i],
+    steps=total, session=sessions[i], resilience=resiliences[i])``, and a
+    population through ``PopulationTuner.from_deepcat(tuners, envs,
+    sessions=sessions, resiliences=resiliences)`` and ``tune`` with the
+    original total step count.
     """
 
     tuners: list
     envs: list
     sessions: list
-    next_steps: list[int]
     resiliences: list
+
+    @property
+    def next_steps(self) -> list[int]:
+        """The first step each member has not yet run."""
+        return [_next_step(s) for s in self.sessions]
 
 
 def save_population_checkpoint(
@@ -263,7 +251,6 @@ def save_population_checkpoint(
     tuners,
     envs,
     sessions,
-    next_steps,
     resiliences=None,
 ) -> Path:
     """Atomically snapshot in-flight sessions to one file.
@@ -273,20 +260,17 @@ def save_population_checkpoint(
     previous snapshot intact.  Live telemetry pickles as the null
     context (see ``RunContext.__reduce__``), so a restored member
     resumes bit-identically whether it rejoins a population or
-    continues alone.
+    continues alone.  Each member's ``next_step`` is written from its
+    session, for readers of the payload.
     """
     path = Path(path)
     tuners = list(tuners)
     envs = list(envs)
     sessions = list(sessions)
-    next_steps = [int(s) for s in next_steps]
     resiliences = (
         list(resiliences) if resiliences is not None else [None] * len(tuners)
     )
-    if not (
-        len(tuners) == len(envs) == len(sessions)
-        == len(next_steps) == len(resiliences)
-    ):
+    if not len(tuners) == len(envs) == len(sessions) == len(resiliences):
         raise ValueError("per-member checkpoint lists must match in length")
     payload = {
         "population_checkpoint_version": _POPULATION_CHECKPOINT_VERSION,
@@ -295,11 +279,11 @@ def save_population_checkpoint(
                 "tuner": tuner,
                 "env": env,
                 "session": session,
-                "next_step": next_step,
+                "next_step": _next_step(session),
                 "resilience": resilience,
             }
-            for tuner, env, session, next_step, resilience in zip(
-                tuners, envs, sessions, next_steps, resiliences
+            for tuner, env, session, resilience in zip(
+                tuners, envs, sessions, resiliences
             )
         ],
     }
@@ -355,7 +339,6 @@ def load_population_checkpoint(path: str | Path) -> PopulationCheckpoint:
         tuners=[m["tuner"] for m in members],
         envs=[m["env"] for m in members],
         sessions=[m["session"] for m in members],
-        next_steps=[m["next_step"] for m in members],
         resiliences=[m["resilience"] for m in members],
     )
 
@@ -385,31 +368,30 @@ class PopulationCheckpointManager:
         self.every = every
         self.saves = 0
         #: progress of the newest on-disk snapshot (None = nothing saved)
-        self.saved_next_steps: list[int] | None = None
+        self._saved_steps: list[int] | None = None
 
-    def save(self, sessions, next_steps) -> Path:
+    def save(self, sessions) -> Path:
         self.saves += 1
         path = save_population_checkpoint(
             self.path,
             tuners=self.tuners,
             envs=self.envs,
             sessions=sessions,
-            next_steps=next_steps,
             resiliences=self.resiliences,
         )
-        self.saved_next_steps = list(next_steps)
+        self._saved_steps = [_next_step(s) for s in sessions]
         return path
 
-    def save_if_stale(self, sessions, next_steps) -> Path | None:
+    def save_if_stale(self, sessions) -> Path | None:
         """Final snapshot on interrupt — but only when it would add
         progress.  An interrupt lands mid-step, *after* the members'
         RNG streams advanced for the in-flight step; overwriting a clean
         boundary snapshot of the same progress with those dirty streams
         would break resume bit-identity.
         """
-        if self.saved_next_steps == list(next_steps):
+        if self._saved_steps == [_next_step(s) for s in sessions]:
             return None
-        return self.save(sessions, next_steps)
+        return self.save(sessions)
 
     def due(self, next_step: int) -> bool:
         """Whether the cadence snapshots once ``next_step`` lockstep
@@ -418,7 +400,5 @@ class PopulationCheckpointManager:
 
     def on_step(self, sessions, next_step: int) -> Path | None:
         if self.due(next_step):
-            return self.save(
-                sessions, [len(s.steps) for s in sessions]
-            )
+            return self.save(sessions)
         return None

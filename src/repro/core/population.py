@@ -125,7 +125,6 @@ class PopulationMember:
     env: TuningEnv
     resilience: ResiliencePolicy | None = None
     session: OnlineSession | None = None
-    start_step: int = 0
     # -- runtime state owned by the lockstep loop -----------------------
     state: np.ndarray = field(default=None, repr=False)  # type: ignore
     done: bool = field(default=False, repr=False)
@@ -159,10 +158,6 @@ class PopulationTuner:
                     f"population members must have distinct {attr}s"
                 )
         for m in members:
-            if m.session is not None and m.start_step != len(m.session.steps):
-                raise ValueError(
-                    "start_step must equal len(session.steps) when resuming"
-                )
             if m.tuner.use_twin_q and m.tuner.twinq_noise_sigma <= 0:
                 raise ValueError("noise_sigma must be positive")
         self.members = members
@@ -195,11 +190,11 @@ class PopulationTuner:
         telemetry=None,
         resiliences: Sequence[ResiliencePolicy | None] | None = None,
         sessions: Sequence[OnlineSession | None] | None = None,
-        start_steps: Sequence[int] | None = None,
     ) -> "PopulationTuner":
         """Build a population from :class:`~repro.core.deepcat.DeepCAT`
         instances, each member's :class:`OnlineTuner` built exactly as
         ``DeepCAT.tune_online`` builds it (:meth:`DeepCAT.online_tuner`).
+        A member with a session resumes at its next step.
         """
         tuners = list(tuners)
         envs = list(envs)
@@ -208,13 +203,10 @@ class PopulationTuner:
         n = len(tuners)
         resiliences = list(resiliences) if resiliences is not None else [None] * n
         sessions = list(sessions) if sessions is not None else [None] * n
-        start_steps = list(start_steps) if start_steps is not None else [0] * n
-        if not (len(resiliences) == len(sessions) == len(start_steps) == n):
+        if not len(resiliences) == len(sessions) == n:
             raise ValueError("per-member argument lists must match in length")
         members = []
-        for dc, env, res, session, start in zip(
-            tuners, envs, resiliences, sessions, start_steps
-        ):
+        for dc, env, res, session in zip(tuners, envs, resiliences, sessions):
             online = dc.online_tuner(
                 env,
                 fine_tune_updates=fine_tune_updates,
@@ -227,7 +219,6 @@ class PopulationTuner:
                     env=env,
                     resilience=res,
                     session=session,
-                    start_step=start,
                 )
             )
         return cls(members)
@@ -348,10 +339,7 @@ class PopulationTuner:
                 self._finish_quarantined(steps, time_budget_s)
         except KeyboardInterrupt:
             if checkpoint is not None:
-                checkpoint.save_if_stale(
-                    self.sessions,
-                    [len(m.session.steps) for m in members],
-                )
+                checkpoint.save_if_stale(self.sessions)
             raise
         finally:
             self.close()
@@ -365,7 +353,7 @@ class PopulationTuner:
         worker can drive rounds one at a time via :meth:`run_round`."""
         for m in self.members:
             m.session, m.state = m.tuner._open(m.env, m.resilience, m.session)
-            m.done = m.start_step >= steps
+            m.done = len(m.session.steps) >= steps
 
     def run_round(
         self, step: int, time_budget_s: float | None = None
@@ -373,15 +361,16 @@ class PopulationTuner:
         """Drive one lockstep round; requires a prior :meth:`begin`.
 
         Returns ``"stepped"`` when members advanced, ``"idle"`` when no
-        member was eligible this step but some remain (staggered
-        ``start_step`` resumes), and ``"complete"`` when every member is
-        done or quarantined.
+        member was eligible this step but some remain (resumed sessions
+        of different lengths join at their own next step), and
+        ``"complete"`` when every member is done or quarantined.
         """
         members = self.members
         active = [
             i
             for i, m in enumerate(members)
-            if not m.done and not m.quarantined and step >= m.start_step
+            if not m.done and not m.quarantined
+            and step >= len(m.session.steps)
         ]
         if active:
             active = self._screen_nonfinite(active, step)
@@ -455,16 +444,12 @@ class PopulationTuner:
         failure is contained to the member and recorded, never
         propagated."""
         for i, m in enumerate(self.members):
-            if not m.quarantined or m.done:
-                continue
-            start = len(m.session.steps) if m.session is not None else 0
-            if start >= steps:
+            if not m.quarantined or m.done or len(m.session.steps) >= steps:
                 continue
             t = m.tuner.telemetry
             try:
                 m.tuner._run_steps(
-                    m.env, steps, time_budget_s, m.session, start,
-                    m.resilience,
+                    m.env, steps, time_budget_s, m.session, m.resilience
                 )
             except Exception as exc:
                 t.count(

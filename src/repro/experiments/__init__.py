@@ -53,7 +53,6 @@ from repro.experiments.engine import (
     ExperimentEngine,
     ResultCache,
     TaskSpec,
-    derive_task_seeds,
 )
 
 __all__ = [
@@ -67,5 +66,4 @@ __all__ = [
     "ExperimentEngine",
     "ResultCache",
     "TaskSpec",
-    "derive_task_seeds",
 ]

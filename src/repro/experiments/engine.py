@@ -12,11 +12,8 @@ that purity three ways:
   inline (``jobs=1``, the default, which preserves the serial code path
   bit-for-bit).  Results are always assembled in submission order, so
   parallelism can never change the science.
-* **Seeding** — tasks carry explicit integer seeds; a task submitted
-  with ``seed=None`` receives a deterministic child seed derived from
-  :meth:`numpy.random.SeedSequence.spawn` in canonical task order
-  (:func:`derive_task_seeds`), independent of ``jobs`` and of worker
-  scheduling.
+* **Seeding** — every task carries an explicit integer seed, so its
+  result is independent of ``jobs`` and of worker scheduling.
 * **Caching** — :class:`ResultCache` persists each task's result under a
   content-addressed key: the SHA-256 of the task kind, its full
   parameters (cluster *specs* expanded field-by-field, not just named),
@@ -95,7 +92,6 @@ __all__ = [
     "policy_quality_task",
     "offline_trend_task",
     "random_cdf_task",
-    "derive_task_seeds",
     "ResultCache",
     "EngineStats",
     "TaskFailure",
@@ -390,7 +386,7 @@ def session_task(
     workload: str,
     dataset: str,
     tuner: str,
-    seed: int | None,
+    seed: int,
     scale: str | ExperimentScale,
     cluster: str = "cluster-a",
     train_workload: str | None = None,
@@ -430,7 +426,7 @@ def session_task(
 
 
 def policy_quality_task(
-    *, workload: str, dataset: str, seed: int | None, iterations: int,
+    *, workload: str, dataset: str, seed: int, iterations: int,
     use_rdper: bool = True, policy_evals: int = 3,
 ) -> TaskSpec:
     return TaskSpec(kind="policy-quality", params={
@@ -441,7 +437,7 @@ def policy_quality_task(
 
 
 def offline_trend_task(
-    *, workload: str, dataset: str, seed: int | None,
+    *, workload: str, dataset: str, seed: int,
     scale: str | ExperimentScale,
 ) -> TaskSpec:
     return TaskSpec(kind="offline-trend", params={
@@ -451,38 +447,12 @@ def offline_trend_task(
 
 
 def random_cdf_task(
-    *, workload: str, dataset: str, n_samples: int, seed: int | None,
+    *, workload: str, dataset: str, n_samples: int, seed: int,
 ) -> TaskSpec:
     return TaskSpec(kind="random-cdf", params={
         "workload": workload, "dataset": dataset,
         "n_samples": n_samples, "seed": seed,
     })
-
-
-# -------------------------------------------------------------- seed plan
-
-
-def derive_task_seeds(
-    root_seed: int, tasks: Sequence[TaskSpec]
-) -> list[int]:
-    """One deterministic integer seed per task via ``SeedSequence.spawn``.
-
-    Children of ``SeedSequence(root_seed)`` are assigned in canonical
-    task order (sorted by :meth:`TaskSpec.canonical_key`, ties broken by
-    submission position), so the mapping depends only on the task list —
-    never on ``jobs``, worker scheduling, or completion order.  Identical
-    replicate specs receive *distinct* children (by position), which is
-    what makes seedless replicate sweeps statistically independent.
-    """
-    if not tasks:
-        return []
-    order = sorted(range(len(tasks)),
-                   key=lambda i: (tasks[i].canonical_key(), i))
-    children = np.random.SeedSequence(root_seed).spawn(len(tasks))
-    seeds = [0] * len(tasks)
-    for child, i in zip(children, order):
-        seeds[i] = int(child.generate_state(1, dtype=np.uint32)[0])
-    return seeds
 
 
 # ------------------------------------------------------------------ cache
@@ -1034,9 +1004,6 @@ class ExperimentEngine:
         A :class:`~repro.telemetry.context.RunContext`; the engine emits
         an ``engine.run`` span, one ``engine.task`` span per task, cache
         hit/miss counters, and an ``engine.task_seconds`` histogram.
-    root_seed:
-        Root of the ``SeedSequence.spawn`` plan filling in ``seed=None``
-        tasks (see :func:`derive_task_seeds`).
     bus_dir:
         Event-bus directory.  When set, every executed task runs with a
         per-worker telemetry context whose events (worker heartbeats,
@@ -1073,7 +1040,6 @@ class ExperimentEngine:
         jobs: int = 1,
         cache: ResultCache | None = None,
         telemetry: RunContext = NULL_CONTEXT,
-        root_seed: int = 0,
         bus_dir: str | Path | None = None,
         task_retries: int = 2,
         task_timeout: float | None = None,
@@ -1099,7 +1065,6 @@ class ExperimentEngine:
         self.jobs = jobs
         self.cache = cache
         self.telemetry = telemetry
-        self.root_seed = root_seed
         self.bus_dir = Path(bus_dir) if bus_dir is not None else None
         self.task_retries = task_retries
         self.task_timeout = task_timeout
@@ -1131,21 +1096,6 @@ class ExperimentEngine:
         self._run_tag = ""
 
     # ------------------------------------------------------------- helpers
-
-    def _resolve_seeds(self, tasks: Sequence[TaskSpec]) -> list[TaskSpec]:
-        """Fill ``seed=None`` params from the deterministic seed plan."""
-        if not any(t.params.get("seed") is None for t in tasks):
-            return list(tasks)
-        plan = derive_task_seeds(self.root_seed, tasks)
-        resolved = []
-        for task, seed in zip(tasks, plan):
-            if task.params.get("seed") is None:
-                resolved.append(
-                    TaskSpec(task.kind, {**task.params, "seed": seed})
-                )
-            else:
-                resolved.append(task)
-        return resolved
 
     def _record_task(self, task: TaskSpec, cached: bool,
                      compute_s: float, index: int | None = None) -> None:
@@ -1314,7 +1264,6 @@ class ExperimentEngine:
         default) :class:`EngineTaskError` is raised *after* the rest of
         the grid completed and was cached.
         """
-        tasks = self._resolve_seeds(tasks)
         n = len(tasks)
         results: list[Any] = [None] * n
         t_run0 = time.perf_counter()

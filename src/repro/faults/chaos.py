@@ -6,7 +6,7 @@ attacks one level down: it kills the **worker process itself** mid-task,
 producing the same ``BrokenProcessPool`` an OOM-kill or an operator's
 stray ``kill -9`` causes in production.  The engine's task supervisor
 must absorb it: rebuild the pool, re-dispatch the incomplete tasks, and
-(because every task owns an explicit seed plan) recover results that are
+(because every task carries an explicit seed) recover results that are
 bit-identical to a clean run.
 
 The schedule is a pure function of ``(seed, task key, attempt)`` — no

@@ -90,8 +90,7 @@ def _step_events(members, lo: int, before: list[int]) -> list[dict]:
     this round, in global member order."""
     events = []
     for off, m in enumerate(members):
-        n = len(m.session.steps) if m.session is not None else 0
-        if n <= before[off]:
+        if len(m.session.steps) <= before[off]:
             continue
         rec = m.session.steps[-1]
         events.append(
@@ -126,10 +125,6 @@ def _snapshot_bytes(payload, members) -> bytes:
             "tuners": payload["tuners"],
             "envs": payload["envs"],
             "sessions": [m.session for m in members],
-            "next_steps": [
-                len(m.session.steps) if m.session is not None else 0
-                for m in members
-            ],
             "resiliences": payload["resiliences"],
         },
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -170,7 +165,6 @@ def _shard_worker_main(conn, lo: int, steps: int, cpus: int) -> None:
             exploration_sigma=payload["exploration_sigma"],
             resiliences=payload["resiliences"],
             sessions=payload["sessions"],
-            start_steps=payload["start_steps"],
         )
         pop._cpus = cpus
         pop.begin(steps)
@@ -180,10 +174,7 @@ def _shard_worker_main(conn, lo: int, steps: int, cpus: int) -> None:
             cmd = msg[0]
             if cmd == "round":
                 _, step, tb = msg
-                before = [
-                    len(m.session.steps) if m.session is not None else 0
-                    for m in pop.members
-                ]
+                before = [len(m.session.steps) for m in pop.members]
                 t0 = time.perf_counter()
                 status = pop.run_round(step, tb)
                 elapsed = time.perf_counter() - t0
@@ -244,7 +235,6 @@ class ShardedPopulation:
         telemetry=None,
         resiliences=None,
         sessions=None,
-        start_steps=None,
     ):
         from repro.telemetry.context import NULL_CONTEXT
 
@@ -261,13 +251,7 @@ class ShardedPopulation:
         self.sessions = (
             list(sessions) if sessions is not None else [None] * n
         )
-        self.start_steps = (
-            list(start_steps) if start_steps is not None else [0] * n
-        )
-        if not (
-            len(self.resiliences) == len(self.sessions)
-            == len(self.start_steps) == n
-        ):
+        if not len(self.resiliences) == len(self.sessions) == n:
             raise ValueError("per-member argument lists must match in length")
         self.fine_tune_updates = fine_tune_updates
         self.exploration_sigma = exploration_sigma
@@ -276,9 +260,6 @@ class ShardedPopulation:
         self.stats = ShardStats(shards=len(self.shard_ranges))
         self._shards: list[_Shard] = []
         self._ran = False
-        self._next_steps = [
-            len(s.steps) if s is not None else 0 for s in self.sessions
-        ]
 
     def __len__(self) -> int:
         return len(self.tuners)
@@ -342,7 +323,6 @@ class ShardedPopulation:
                 "envs": self.envs[lo:hi],
                 "resiliences": self.resiliences[lo:hi],
                 "sessions": self.sessions[lo:hi],
-                "start_steps": self.start_steps[lo:hi],
                 "fine_tune_updates": self.fine_tune_updates,
                 "exploration_sigma": self.exploration_sigma,
             }),
@@ -474,7 +454,7 @@ class ShardedPopulation:
                 try:
                     self._snapshot_all()
                     self._refresh_manager(checkpoint)
-                    checkpoint.save_if_stale(self.sessions, self._next_steps)
+                    checkpoint.save_if_stale(self.sessions)
                 except ShardCrash:  # pragma: no cover - race with kill
                     pass
             raise
@@ -529,7 +509,6 @@ class ShardedPopulation:
             self.envs[gi] = snap["envs"][off]
             self.sessions[gi] = snap["sessions"][off]
             self.resiliences[gi] = snap["resiliences"][off]
-            self._next_steps[gi] = snap["next_steps"][off]
 
     def _refresh_manager(self, checkpoint) -> None:
         checkpoint.tuners = list(self.tuners)
@@ -539,7 +518,7 @@ class ShardedPopulation:
     def _checkpoint(self, checkpoint) -> None:
         self._snapshot_all()
         self._refresh_manager(checkpoint)
-        checkpoint.save(self.sessions, self._next_steps)
+        checkpoint.save(self.sessions)
 
     def _finish(self, time_budget_s: float | None) -> None:
         for sh in self._shards:

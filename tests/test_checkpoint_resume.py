@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.agents.base import AgentHyperParams
+from repro.baselines.cdbtune import CDBTune
 from repro.cli import main
 from repro.core.deepcat import DeepCAT
 from repro.core.persistence import (
@@ -47,9 +48,9 @@ class _DyingStep:
         return type(self.env).step(self.env, action)
 
 
-def _trained(seed=7):
+def _trained(seed=7, tuner_cls=DeepCAT):
     env = make_env("WC", "D1", seed=3)
-    tuner = DeepCAT.from_env(env, seed=seed, hp=FAST_HP)
+    tuner = tuner_cls.from_env(env, seed=seed, hp=FAST_HP)
     tuner.train_offline(env, 40)
     return tuner
 
@@ -124,7 +125,7 @@ class TestCheckpointsWithLayerScratch:
         _assert_env_holds_simulator(ck.envs[0])
         resumed = ck.tuners[0].tune_online(
             ck.envs[0], steps=self.STEPS, resilience=ck.resiliences[0],
-            session=ck.sessions[0], start_step=ck.next_steps[0],
+            session=ck.sessions[0],
         )
         assert len(resumed.steps) == self.STEPS
         assert sessions_equal(resumed, self._full_session())
@@ -153,7 +154,7 @@ class TestCheckpointsWithLayerScratch:
             _assert_env_holds_simulator(env)
         resumed = PopulationTuner.from_deepcat(
             ck.tuners, ck.envs, resiliences=ck.resiliences,
-            sessions=ck.sessions, start_steps=ck.next_steps,
+            sessions=ck.sessions,
         ).tune(steps=self.STEPS)
         full = PopulationTuner.from_deepcat(
             [_small_trained(t) for t, _, _ in self.SEEDS],
@@ -174,9 +175,10 @@ class TestResumeEquality:
 
     STEPS = 6
     KILL_AT = 3
+    TUNER = DeepCAT
 
     def _uninterrupted(self):
-        tuner = _trained()
+        tuner = _trained(tuner_cls=self.TUNER)
         env = make_env("WC", "D1", seed=11, fault_profile="hostile")
         return tuner.tune_online(
             env, steps=self.STEPS, resilience=ResiliencePolicy.default(seed=5)
@@ -184,7 +186,7 @@ class TestResumeEquality:
 
     def _killed_and_resumed(self, tmp_path):
         ckpt = tmp_path / "session.ckpt"
-        tuner = _trained()
+        tuner = _trained(tuner_cls=self.TUNER)
         env = make_env("WC", "D1", seed=11, fault_profile="hostile")
         res = ResiliencePolicy.default(seed=5)
         manager = PopulationCheckpointManager(
@@ -202,7 +204,6 @@ class TestResumeEquality:
             steps=self.STEPS,
             resilience=restored.resiliences[0],
             session=restored.sessions[0],
-            start_step=restored.next_steps[0],
         )
 
     def test_resume_is_bit_identical(self, tmp_path):
@@ -213,12 +214,19 @@ class TestResumeEquality:
 
     def test_sessions_equal_detects_divergence(self):
         a = self._uninterrupted()
-        tuner = _trained()
+        tuner = _trained(tuner_cls=self.TUNER)
         env = make_env("WC", "D1", seed=12, fault_profile="hostile")
         b = tuner.tune_online(
             env, steps=self.STEPS, resilience=ResiliencePolicy.default(seed=5)
         )
         assert not sessions_equal(a, b)
+
+
+class TestResumeEqualityCDBTune(TestResumeEquality):
+    """The same kill and resume for CDBTune, whose sessions run the same
+    stages with DDPG and TD-error prioritized replay."""
+
+    TUNER = CDBTune
 
 
 class TestCheckpointMechanics:
@@ -282,15 +290,6 @@ class TestCheckpointMechanics:
         restored = load_population_checkpoint(ckpt)
         assert restored.next_steps == [len(restored.sessions[0].steps)] == [2]
 
-    def test_resume_validates_start_step(self, tmp_path):
-        tuner, env, res, ckpt, _ = self._ready(tmp_path, steps=2)
-        restored = load_population_checkpoint(ckpt)
-        with pytest.raises(ValueError):
-            restored.tuners[0].tune_online(
-                restored.envs[0], steps=5, session=restored.sessions[0],
-                start_step=restored.next_steps[0] + 1,
-            )
-
     def test_version_mismatch_raises(self, tmp_path):
         """The single-session payload keeps its own version check."""
         bad = tmp_path / "bad.ckpt"
@@ -312,7 +311,7 @@ class TestCheckpointMechanics:
         assert env.simulator.telemetry is ctx
         save_population_checkpoint(
             tmp_path / "s.ckpt", tuners=[tuner], envs=[env],
-            sessions=[session], next_steps=[1],
+            sessions=[session],
         )
         assert env.simulator.telemetry is ctx
         restored = load_population_checkpoint(tmp_path / "s.ckpt")
@@ -346,6 +345,38 @@ class TestCLIResume:
               "--checkpoint", ckpt])
         assert main(["tune", "--resume", ckpt, "--steps", "2"]) == 0
         assert "nothing to do" in capsys.readouterr().out
+
+    def test_cdbtune_model_tunes_checkpoints_and_resumes(
+        self, tmp_path, capsys
+    ):
+        """``repro tune`` serves a CDBTune model like a DeepCAT one, one
+        session at a time: a population needs TD3's twin critics."""
+        model = str(tmp_path / "cdb.npz")
+        ckpt = str(tmp_path / "c.ckpt")
+        assert main(
+            ["train", "--tuner", "cdbtune", "--workload", "WC",
+             "--iterations", "20", "--model", model]
+        ) == 0
+        assert main(
+            ["tune", "--workload", "WC", "--model", model, "--steps", "2",
+             "--fault-profile", "flaky", "--checkpoint", ckpt]
+        ) == 0
+        capsys.readouterr()
+        assert main(["tune", "--resume", ckpt, "--steps", "3"]) == 0
+        out = capsys.readouterr().out
+        assert [line.split(":")[0] for line in out.splitlines()
+                if line.startswith("step ")] == ["step 1", "step 2", "step 3"]
+        ck = load_population_checkpoint(ckpt)
+        assert ck.next_steps == [3]
+        assert ck.sessions[0].tuner == "CDBTune"
+        assert main(
+            ["tune", "--workload", "WC", "--model", model, "--steps", "1",
+             "--population", "2"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tune: --population needs a DeepCAT")
+        assert len(captured.err.splitlines()) == 1
 
     def test_tune_requires_model_or_resume(self, capsys):
         assert main(["tune", "--workload", "WC"]) == 2

@@ -17,7 +17,6 @@ from repro.experiments.engine import (
     ExperimentEngine,
     ResultCache,
     TaskSpec,
-    derive_task_seeds,
     random_cdf_task,
     session_task,
     task_kind,
@@ -64,31 +63,6 @@ class TestTaskSpec:
         # full hardware fields, not just the name, enter the hash
         assert "nodes" in payload or "cores" in payload
         assert t.canonical_key() != payload
-
-
-class TestDeriveTaskSeeds:
-    def test_deterministic_across_calls(self):
-        tasks = [_cdf(seed=None, n=i + 1) for i in range(5)]
-        assert (derive_task_seeds(7, tasks)
-                == derive_task_seeds(7, tasks))
-
-    def test_root_seed_changes_plan(self):
-        tasks = [_cdf(seed=None, n=i + 1) for i in range(5)]
-        assert derive_task_seeds(0, tasks) != derive_task_seeds(1, tasks)
-
-    def test_follows_task_identity_not_position(self):
-        tasks = [_cdf(seed=None, n=i + 1) for i in range(5)]
-        plan = derive_task_seeds(0, tasks)
-        rev = derive_task_seeds(0, list(reversed(tasks)))
-        assert rev == list(reversed(plan))
-
-    def test_replicates_get_distinct_seeds(self):
-        tasks = [_cdf(seed=None, n=3) for _ in range(4)]
-        plan = derive_task_seeds(0, tasks)
-        assert len(set(plan)) == len(plan)
-
-    def test_empty(self):
-        assert derive_task_seeds(0, []) == []
 
 
 class TestResultCache:
@@ -157,16 +131,6 @@ class TestExperimentEngine:
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
             ExperimentEngine(jobs=0)
-
-    def test_seed_none_resolved_deterministically(self):
-        tasks = [TaskSpec("test-echo", {"value": 1, "seed": None})
-                 for _ in range(3)]
-        a = ExperimentEngine().run(tasks)
-        b = ExperimentEngine().run(tasks)
-        assert a == b
-        seeds = [r["seed"] for r in a]
-        assert None not in seeds
-        assert len(set(seeds)) == 3  # replicates are independent
 
     def test_explicit_seed_untouched(self):
         [r] = ExperimentEngine().run(

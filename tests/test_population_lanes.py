@@ -247,7 +247,7 @@ def test_interrupt_in_a_lane_then_resume_is_bit_identical(
     assert saved.next_steps == [2] * 8
     resumed = PopulationTuner.from_deepcat(
         saved.tuners, saved.envs, fine_tune_updates=2,
-        sessions=saved.sessions, start_steps=saved.next_steps,
+        sessions=saved.sessions,
     ).tune(steps=steps)
     assert all(sessions_equal(a, b) for a, b in zip(resumed, full))
 
