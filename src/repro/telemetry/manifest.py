@@ -166,12 +166,15 @@ class RunManifest:
             dataset=data.get("dataset"),
         )
         manifest.run_id = data.get("run_id", manifest.run_id)
-        manifest.git_sha = data.get("git_sha")
         manifest.created_at = data.get("created_at", manifest.created_at)
         manifest.finished_at = data.get("finished_at")
         # A loaded manifest reports the duration it was saved with; its
         # own monotonic clock has no relation to the recorded run.
         manifest._elapsed_s = data.get("elapsed_s")
+        # So too the host and code that recorded it, not those reading it.
+        manifest.git_sha = data.get("git_sha")
+        manifest.python = data.get("python")
+        manifest.platform = data.get("platform")
         manifest.hyper_parameters = data.get("hyper_parameters", {})
         manifest.cluster = data.get("cluster", {})
         manifest.wall_clock = data.get("wall_clock", {})

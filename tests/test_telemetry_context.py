@@ -40,6 +40,22 @@ class TestManifest:
         assert loaded.wall_clock["offline.train"]["total_s"] == 2.5
         assert loaded.finished_at is not None
 
+    def test_loaded_manifest_keeps_recording_host(self, tmp_path):
+        # Values no reader reports: a load that stamped the reading host
+        # or checkout would differ from the file.
+        m = RunManifest(kind="online-tune", seed=1)
+        m.python = "0.0.0"
+        m.platform = "recorded-host"
+        m.git_sha = "0" * 40
+        path = tmp_path / "run.manifest.json"
+        m.save(path)
+
+        loaded = RunManifest.load(path)
+        assert loaded.python == "0.0.0"
+        assert loaded.platform == "recorded-host"
+        assert loaded.git_sha == "0" * 40
+        assert loaded.to_dict() == json.loads(path.read_text())
+
     def test_to_dict_fields(self):
         d = RunManifest(seed=3).to_dict()
         for key in ("run_id", "kind", "seed", "git_sha", "python",
